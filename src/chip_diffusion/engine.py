@@ -6,9 +6,11 @@ poorer endpoint; equal stacks exchange nothing. Stacks are plain Python ints,
 so arithmetic can never wrap silently.
 
 Configurations are tuples indexed by vertex. Every trajectory on a finite
-graph enters a cycle of length 1 or 2; `run` relies on that and detects the
-cycle from a two-configuration window. The preperiod, however, has no known
-bound, so `run` keeps a step cap that turns a would-be hang into a loud error.
+graph enters a cycle of length 1 or 2; one walker, `_walk`, relies on that and
+detects the cycle from a two-configuration window. `fire`, `run` and the
+perturbation walks in `quiescence` and `enumeration` all go through it. The
+preperiod, however, has no known bound, so walks keep a step cap that turns a
+would-be hang into a loud error or an explicit cap outcome.
 
 Every function here is pure: inputs are never mutated, and simulations may
 share Graph objects across threads or processes freely.
@@ -17,6 +19,7 @@ share Graph objects across threads or processes freely.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -103,6 +106,9 @@ class CapExceededError(RuntimeError):
 
 _TAIL_KEEP = 16
 
+# Kinds of _walk outcome besides the period (1 or 2) of a detected cycle.
+_WALK_ZERO, _WALK_CAP = 0, 3
+
 
 def _as_config(g: Graph, c: Sequence[int]) -> Configuration:
     t = tuple(c)
@@ -111,22 +117,40 @@ def _as_config(g: Graph, c: Sequence[int]) -> Configuration:
     return t
 
 
+def _walk(edges: tuple, c: Configuration, limit: int, stop_at_zero: bool) -> tuple:
+    """The one trajectory kernel: fire the trusted tuple c up to limit times,
+    visiting each edge once per firing. Stops at the first firing k whose
+    result C_k is all-zero (if stop_at_zero) or equals C_{k-1} or C_{k-2}.
+
+    Returns (k, kind, C_{k-1}, C_k); kind is _WALK_ZERO, the period 1 or 2,
+    or _WALK_CAP after limit firings (C_{k-1} is None when k == 0).
+    """
+    prev = None
+    for k in range(1, limit + 1):
+        out = list(c)
+        for u, v in edges:
+            a, b = c[u], c[v]
+            if a > b:
+                out[u] -= 1
+                out[v] += 1
+            elif a < b:
+                out[u] += 1
+                out[v] -= 1
+        nxt = tuple(out)
+        if stop_at_zero and not any(nxt):
+            return k, _WALK_ZERO, c, nxt
+        if nxt == c:
+            return k, 1, c, nxt
+        if nxt == prev:
+            return k, 2, c, nxt
+        prev, c = c, nxt
+    return limit, _WALK_CAP, prev, c
+
+
 def fire(g: Graph, c: Sequence[int]) -> Configuration:
     """One simultaneous firing: each vertex gains a chip per strictly richer
     neighbour and loses one per strictly poorer neighbour."""
-    c = _as_config(g, c)
-    out = []
-    for v, nbrs in enumerate(g.adj):
-        s = c[v]
-        d = 0
-        for u in nbrs:
-            t = c[u]
-            if t > s:
-                d += 1
-            elif t < s:
-                d -= 1
-        out.append(s + d)
-    return tuple(out)
+    return _walk(g.edges, _as_config(g, c), 1, False)[3]
 
 
 def shift(c: Sequence[int], k: int) -> Configuration:
@@ -195,19 +219,15 @@ def run(g: Graph, c0: Sequence[int], max_steps: int = DEFAULT_MAX_STEPS) -> Peri
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    prev1 = _as_config(g, c0)
-    prev2: Configuration | None = None
-    tail = [prev1]
-    for k in range(1, max_steps + 1):
-        c = fire(g, prev1)
-        if c == prev1:
-            return PeriodReport(preperiod=k - 1, period=1, period_configs=(prev1,), steps_taken=k)
-        if c == prev2:
-            return PeriodReport(
-                preperiod=k - 2, period=2, period_configs=(prev2, prev1), steps_taken=k
-            )
-        prev2, prev1 = prev1, c
-        tail.append(c)
-        if len(tail) > _TAIL_KEEP:
-            del tail[0]
-    raise CapExceededError(max_steps, tuple(tail))
+    c0 = _as_config(g, c0)
+    k, kind, before, last = _walk(g.edges, c0, max_steps, False)
+    if kind == _WALK_CAP:
+        # Rare error path: replay to recover the tail the kernel does not keep.
+        tail = deque([c0], maxlen=_TAIL_KEEP)
+        for _ in range(max_steps):
+            tail.append(fire(g, tail[-1]))
+        raise CapExceededError(max_steps, tuple(tail))
+    # Period 1: C_k = C_{k-1}. Period 2: C_k = C_{k-2}, so the cycle is (C_k, C_{k-1}).
+    return PeriodReport(
+        preperiod=k - kind, period=kind, period_configs=(last, before)[:kind], steps_taken=k
+    )

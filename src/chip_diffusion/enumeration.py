@@ -2,8 +2,11 @@
 
 Subset spaces are walked as integer masks; graph spaces as edge masks over the
 C(n,2) vertex pairs in lexicographic order (bit i = i-th pair). Everything
-here is exact enumeration, no sampling and no pruning that could hide a
-witness.
+here is exact enumeration with no sampling. The one pruning rule, complement
+symmetry, cannot hide a witness. Lemma: the perturbation of the complement
+V-H is the negation of the perturbation of H, and firing commutes with
+negation, fire(-c) = -fire(c). So the walks of H and V-H agree up to sign:
+same outcome, same first zero step, same cycle, same cap status.
 """
 
 from __future__ import annotations
@@ -15,15 +18,9 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .engine import DEFAULT_MAX_STEPS
+from .engine import _WALK_CAP, _WALK_ZERO, DEFAULT_MAX_STEPS, _walk
 from .graphs import Graph, VertexSet, is_connected
-from .quiescence import (
-    ZeroStatus,
-    _check_enumerable,
-    _zero2_mask,
-    _zero_invoking_mask,
-    subsets_of_size,
-)
+from .quiescence import _check_enumerable, _perturb_mask, _zero2_mask, subsets_of_size
 
 # 2^26 subsets is roughly a coffee break in pure Python; beyond that the scan
 # stops being a usable oracle.
@@ -117,14 +114,26 @@ def find_zero_not_zero2(
 
     Returns the first witness, NOT_FOUND after a clean exhaustive scan, or
     INCONCLUSIVE when some subset hit the step cap and none witnessed.
+
+    Only masks below 2^(n-1) are walked: by complement symmetry (module
+    docstring) a witness or capped subset with bit n-1 set has a complement
+    of the same kind with a smaller mask, so the first witness and the
+    INCONCLUSIVE verdict are unchanged. Subsets whose perturbation moves no
+    chip are zero at step 0, never witnesses, and are skipped.
     """
     _check_enumerable(g)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     capped = False
-    for mask in range(1 << g.n):
-        outcome = _zero_invoking_mask(g, mask, max_steps)
-        if outcome.status is ZeroStatus.CAP_EXCEEDED:
+    for mask in range((1 << g.n) >> 1):
+        c = _perturb_mask(g, mask)
+        if not any(c):
+            continue
+        # Step 1 is c, so firing k yields step k + 1 (see _zero_invoking_mask).
+        k, kind, _, _ = _walk(g.edges, c, max_steps - 1, True)
+        if kind == _WALK_CAP:
             capped = True
-        elif outcome.reached_zero and outcome.step >= 3:
+        elif kind == _WALK_ZERO and k >= 2:
             # Zero first recurs after step 2, so the step-2 configuration is
             # nonzero; re-check dynamically anyway before reporting.
             if _zero2_mask(g, mask):
@@ -132,8 +141,8 @@ def find_zero_not_zero2(
             return SearchWitness(
                 graph=g,
                 subset=VertexSet(g.n, mask),
-                zero_step=outcome.step,
-                note=f"zero restored at step {outcome.step}, nonzero at step 2",
+                zero_step=k + 1,
+                note=f"zero restored at step {k + 1}, nonzero at step 2",
             )
     return SearchStatus.INCONCLUSIVE if capped else SearchStatus.NOT_FOUND
 
@@ -208,7 +217,10 @@ def _read_checkpoint(path: Path, n: int) -> int:
     return -1 if last is None else last
 
 
-def _scan_chunk(args: tuple) -> tuple[list[tuple[int, int, int, str]], int]:
+def _scan_chunk(
+    args: tuple, seen: set[int] | None = None
+) -> tuple[list[tuple[int, int, int, str]], int]:
+    """Search edge masks [start, stop), skipping canonical forms already in seen."""
     n, start, stop, connected_only, max_steps = args
     pairs = all_edge_pairs(n)
     found = []
@@ -217,6 +229,11 @@ def _scan_chunk(args: tuple) -> tuple[list[tuple[int, int, int, str]], int]:
         g = graph_from_edge_mask(n, mask, pairs)
         if connected_only and not is_connected(g):
             continue
+        if seen is not None:
+            canon = canonical_edge_mask(g)
+            if canon in seen:
+                continue
+            seen.add(canon)
         res = find_zero_not_zero2(g, max_steps)
         if isinstance(res, SearchWitness):
             found.append((mask, res.subset.mask, res.zero_step, res.note))
@@ -247,6 +264,10 @@ def search_all_graphs(
     """
     if n > 7:
         raise ValueError(f"graph census is 2^C(n,2), refusing n={n} > 7")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if iso_filter and (resume or checkpoint is not None or workers > 1):
         raise ValueError("iso_filter cannot be combined with checkpointing or workers")
     total = 1 << (n * (n - 1) // 2)
@@ -258,7 +279,6 @@ def search_all_graphs(
         start = _read_checkpoint(ckpt_path, n) + 1
 
     pairs = all_edge_pairs(n)
-    seen_canonical: dict[tuple[int, ...], set[int]] = {}
     scanned = start
     witnesses = 0
     inconclusive = 0
@@ -271,49 +291,19 @@ def search_all_graphs(
             fh.flush()
             os.fsync(fh.fileno())
 
-    chunks = ((s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK))
+    bounds = [(s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)]
+    args = [(n, s, e, connected_only, max_steps) for s, e in bounds]
     pool = None
     try:
         if workers > 1:
             import multiprocessing
 
             pool = multiprocessing.Pool(workers)
-            results = pool.imap(
-                _scan_chunk,
-                ((n, s, e, connected_only, max_steps) for s, e in chunks),
-            )
-            chunk_iter = zip(
-                ((s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)), results
-            )
-        elif iso_filter:
-            def _iso_chunks():
-                for s, e in chunks:
-                    found = []
-                    inc = 0
-                    for mask in range(s, e):
-                        g = graph_from_edge_mask(n, mask, pairs)
-                        if connected_only and not is_connected(g):
-                            continue
-                        degseq = tuple(sorted(len(a) for a in g.adj))
-                        bucket = seen_canonical.setdefault(degseq, set())
-                        canon = canonical_edge_mask(g)
-                        if canon in bucket:
-                            continue
-                        bucket.add(canon)
-                        res = find_zero_not_zero2(g, max_steps)
-                        if isinstance(res, SearchWitness):
-                            found.append((mask, res.subset.mask, res.zero_step, res.note))
-                        elif res is SearchStatus.INCONCLUSIVE:
-                            inc += 1
-                    yield (s, e), (found, inc)
-
-            chunk_iter = _iso_chunks()
+            results = pool.imap(_scan_chunk, args)
         else:
-            chunk_iter = (
-                ((s, e), _scan_chunk((n, s, e, connected_only, max_steps))) for s, e in chunks
-            )
-
-        for (s, e), (found, inc) in chunk_iter:
+            seen = set() if iso_filter else None
+            results = (_scan_chunk(a, seen) for a in args)
+        for (s, e), (found, inc) in zip(bounds, results):
             inconclusive += inc
             for mask, subset_mask, zero_step, note in found:
                 last_done = mask

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport, fire, is_zero_configuration
+from .engine import _WALK_CAP, _WALK_ZERO, _walk
 from .graphs import Graph, VertexSet, _check_set
 
 ENUMERATION_LIMIT = 63  # single-word subset masks
@@ -130,30 +131,19 @@ def _zero_invoking_mask(g: Graph, mask: int, max_steps: int) -> ZeroInvokingOutc
     if is_zero_configuration(c):
         # No chip ever moved; the process never left zero.
         return ZeroInvokingOutcome(ZeroStatus.REACHED_ZERO, step=0, report=None, trace_len=1)
-    prev2: tuple[int, ...] | None = None
-    prev1 = c
-    t = 1
-    while t < max_steps:
-        t += 1
-        c = fire(g, prev1)
-        if is_zero_configuration(c):
-            return ZeroInvokingOutcome(ZeroStatus.REACHED_ZERO, step=t, report=None, trace_len=t)
-        if c == prev1:
-            report = PeriodReport(
-                preperiod=t - 1, period=1, period_configs=(prev1,), steps_taken=t - 1
-            )
-            return ZeroInvokingOutcome(
-                ZeroStatus.PERIOD_WITHOUT_ZERO, step=None, report=report, trace_len=t
-            )
-        if c == prev2:
-            report = PeriodReport(
-                preperiod=t - 2, period=2, period_configs=(prev2, prev1), steps_taken=t - 1
-            )
-            return ZeroInvokingOutcome(
-                ZeroStatus.PERIOD_WITHOUT_ZERO, step=None, report=report, trace_len=t
-            )
-        prev2, prev1 = prev1, c
-    return ZeroInvokingOutcome(ZeroStatus.CAP_EXCEEDED, step=None, report=None, trace_len=max_steps)
+    # Step 1 is c, so the cap allows max_steps - 1 firings and firing k yields step t = k + 1.
+    k, kind, before, last = _walk(g.edges, c, max_steps - 1, True)
+    t = k + 1
+    if kind == _WALK_CAP:
+        return ZeroInvokingOutcome(ZeroStatus.CAP_EXCEEDED, step=None, report=None, trace_len=t)
+    if kind == _WALK_ZERO:
+        return ZeroInvokingOutcome(ZeroStatus.REACHED_ZERO, step=t, report=None, trace_len=t)
+    report = PeriodReport(
+        preperiod=t - kind, period=kind, period_configs=(last, before)[:kind], steps_taken=k
+    )
+    return ZeroInvokingOutcome(
+        ZeroStatus.PERIOD_WITHOUT_ZERO, step=None, report=report, trace_len=t
+    )
 
 
 def subsets_of_size(n: int, k: int) -> Iterator[int]:

@@ -155,6 +155,16 @@ class TestSearch:
         result = run_cli("search", "--n", "3", "--progress")
         assert "progress:" in result.stderr
 
+    def test_zero_step_cap_exits_one(self):
+        result = run_cli("search", "--n", "3", "--max-steps", "0")
+        assert result.returncode == 1
+        assert "max_steps" in result.stderr
+
+    def test_zero_threads_exits_one(self):
+        result = run_cli("search", "--n", "3", "--threads", "0")
+        assert result.returncode == 1
+        assert "workers" in result.stderr
+
 
 class TestPathsTable:
     def test_csv_golden(self):

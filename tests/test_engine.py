@@ -20,7 +20,8 @@ from chip_diffusion import (
     zero_preposition_from_orientation,
 )
 
-from strategies import graphs_with_config
+import naive
+from strategies import graphs, graphs_with_config
 
 # Five-vertex path trace that enters a 2-cycle after three steps; the rows
 # are frozen integers.
@@ -37,6 +38,16 @@ P5_ROWS = [
 
 
 class TestFire:
+    @given(graphs(max_n=12), st.sampled_from([0, 10**30, -(2**100)]), st.data())
+    @settings(max_examples=300)
+    def test_matches_naive(self, g, base, data):
+        # Small offsets on a huge base give ties between huge stacks.
+        offsets = st.integers() | st.integers(min_value=-3, max_value=3)
+        stacks = data.draw(st.lists(offsets, min_size=g.n, max_size=g.n))
+        c = tuple(base + x for x in stacks)
+        want = naive.fire(naive.adjacency(g.n, g.edges), dict(enumerate(c)))
+        assert fire(g, c) == tuple(want[v] for v in range(g.n))
+
     def test_p5_first_step(self):
         assert fire(path(5), P5_START) == (1, 0, 2, 2, 2)
 

@@ -1,7 +1,10 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 
 from chip_diffusion import (
+    DEFAULT_MAX_STEPS,
     Graph,
     SearchStatus,
     SearchWitness,
@@ -137,6 +140,53 @@ class TestFindZeroNotZero2:
         result = find_zero_not_zero2(g, max_steps=2000)
         if isinstance(result, SearchWitness):
             reverify_witness(result)
+
+
+ORACLE_CAPS = (1, 2, 3, DEFAULT_MAX_STEPS)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_outcomes(n, edge_mask, cap):
+    """naive.zero_invoking_outcome for every subset mask of one labelled graph."""
+    g = graph_from_edge_mask(n, edge_mask)
+    adj = naive.adjacency(n, g.edges)
+    return tuple(
+        naive.zero_invoking_outcome(adj, {v for v in range(n) if m >> v & 1}, cap)
+        for m in range(1 << n)
+    )
+
+
+def oracle_find(n, edge_mask, cap):
+    """Unpruned full-range scan: first witness mask, else the status value."""
+    capped = False
+    for mask, (kind, detail) in enumerate(oracle_outcomes(n, edge_mask, cap)):
+        if kind == "cap_exceeded":
+            capped = True
+        elif kind == "reached_zero" and detail >= 3:
+            return mask
+    return "inconclusive" if capped else "not_found"
+
+
+class TestComplementPruning:
+    """find_zero_not_zero2 walks only masks below 2^(n-1); this is exact
+    because H and its complement share their outcome (enumeration docstring)."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("cap", ORACLE_CAPS)
+    def test_complement_has_same_outcome(self, n, cap):
+        full = (1 << n) - 1
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            outcomes = oracle_outcomes(n, edge_mask, cap)
+            for h in range(1 << n):
+                assert outcomes[h] == outcomes[full ^ h], (edge_mask, h)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("cap", ORACLE_CAPS)
+    def test_pruned_scan_matches_unpruned_oracle(self, n, cap):
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            res = find_zero_not_zero2(graph_from_edge_mask(n, edge_mask), max_steps=cap)
+            got = res.subset.mask if isinstance(res, SearchWitness) else res.value
+            assert got == oracle_find(n, edge_mask, cap), edge_mask
 
 
 class TestGraphCensus:
