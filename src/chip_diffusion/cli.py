@@ -141,25 +141,22 @@ def _cmd_pq(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    def report(p: enumeration.SearchProgress) -> None:
-        print(
-            f"progress: {p.scanned}/{p.total} edge masks, "
-            f"{p.witnesses} witnesses, {p.inconclusive} inconclusive",
-            file=sys.stderr,
-        )
-
     inconclusive = 0
 
-    def report_and_track(p: enumeration.SearchProgress) -> None:
+    def report(p: enumeration.SearchProgress) -> None:
         nonlocal inconclusive
         inconclusive = p.inconclusive
         if args.progress:
-            report(p)
+            print(
+                f"progress: {p.scanned}/{p.total} edge masks, "
+                f"{p.witnesses} witnesses, {p.inconclusive} inconclusive",
+                file=sys.stderr,
+            )
 
     stream = enumeration.search_all_graphs(
         args.n,
         max_steps=args.max_steps,
-        reporter=report_and_track,
+        reporter=report,
         connected_only=args.connected_only,
         checkpoint=args.checkpoint,
         resume=args.resume,

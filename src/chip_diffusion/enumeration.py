@@ -3,10 +3,13 @@
 Subset spaces are walked as integer masks; graph spaces as edge masks over the
 C(n,2) vertex pairs in lexicographic order (bit i = i-th pair). Everything
 here is exact enumeration with no sampling. The one pruning rule, complement
-symmetry, cannot hide a witness. Lemma: the perturbation of the complement
-V-H is the negation of the perturbation of H, and firing commutes with
-negation, fire(-c) = -fire(c). So the walks of H and V-H agree up to sign:
-same outcome, same first zero step, same cycle, same cap status.
+symmetry, cannot hide a witness or change a count:
+  - the witness search: the perturbation of the complement V-H is the
+    negation of the perturbation of H, and firing commutes with negation,
+    fire(-c) = -fire(c). So the walks of H and V-H agree up to sign: same
+    outcome, same first zero step, same cycle, same cap status.
+  - the step-2 count: CCD is symmetric in H and V-H (its two edge conditions
+    trade places), so H passes exactly when V-H does.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .engine import _WALK_CAP, _WALK_ZERO, DEFAULT_MAX_STEPS, _walk
-from .graphs import Graph, VertexSet, is_connected
-from .quiescence import _check_enumerable, _perturb_mask, _zero2_mask, subsets_of_size
+from .engine import _WALK_CAP, _WALK_ZERO, DEFAULT_MAX_STEPS
+from .graphs import Graph, VertexSet, _dominating_mask, is_connected
+from .quiescence import _ccd_mask, _check_enumerable, _perturbation_walk, _zero2_mask
+from .quiescence import subsets_of_size
 
 # 2^26 subsets is roughly a coffee break in pure Python; beyond that the scan
 # stops being a usable oracle.
@@ -58,51 +62,30 @@ def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
     """Number of subsets that restore zero at step 2, counted via the CCD
     characterization (one structural check per subset instead of two firings).
 
+    Only masks below 2^(n-1) are checked and the count is doubled: CCD is
+    symmetric in H and V-H (swapping them swaps its two edge conditions), and
+    complementing maps the lower half of the masks onto the upper half. On
+    n = 0 the empty set is its own complement and is counted once.
+
     include_trivial=False drops the empty set and the full vertex set.
     """
     if g.n > EXHAUSTIVE_COUNT_LIMIT:
         raise ValueError(
             f"exhaustive count supports up to {EXHAUSTIVE_COUNT_LIMIT} vertices, got {g.n}"
         )
-    full = g.full_mask
-    masks = g.nbr_masks
-    edges = g.edges
-    count = 0
-    # Inlined _ccd_mask: this loop visits every subset, so per-call overhead
-    # matters. Tests cross-check against the two-firing predicate.
-    for h in range(full + 1):
-        comp = full ^ h
-        for u, v in edges:
-            u_in = (h >> u) & 1
-            if u_in != (h >> v) & 1:
-                continue
-            if u_in:
-                if (masks[u] & comp).bit_count() != (masks[v] & comp).bit_count():
-                    break
-            elif (masks[u] & h).bit_count() != (masks[v] & h).bit_count():
-                break
-        else:
-            count += 1
+    half = (1 << g.n) >> 1
+    count = 2 * sum(1 for h in range(half) if _ccd_mask(g, h)) if g.n else 1
     if not include_trivial:
-        count -= len({0, full})
+        count -= len({0, g.full_mask})
     return count
 
 
 def domination_number(g: Graph) -> int:
     """Exact domination number by ascending-size subset enumeration."""
     _check_enumerable(g)
-    masks = g.nbr_masks
-    full = g.full_mask
     for k in range(g.n + 1):
-        for s in subsets_of_size(g.n, k):
-            covered = s
-            m = s
-            while m:
-                v = (m & -m).bit_length() - 1
-                covered |= masks[v]
-                m &= m - 1
-            if covered == full:
-                return k
+        if any(_dominating_mask(g, s) for s in subsets_of_size(g.n, k)):
+            return k
     raise AssertionError("unreachable: the full vertex set dominates")
 
 
@@ -119,21 +102,17 @@ def find_zero_not_zero2(
     docstring) a witness or capped subset with bit n-1 set has a complement
     of the same kind with a smaller mask, so the first witness and the
     INCONCLUSIVE verdict are unchanged. Subsets whose perturbation moves no
-    chip are zero at step 0, never witnesses, and are skipped.
+    chip are zero at step 0 and never witnesses.
     """
     _check_enumerable(g)
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     capped = False
     for mask in range((1 << g.n) >> 1):
-        c = _perturb_mask(g, mask)
-        if not any(c):
-            continue
-        # Step 1 is c, so firing k yields step k + 1 (see _zero_invoking_mask).
-        k, kind, _, _ = _walk(g.edges, c, max_steps - 1, True)
+        t, kind, _, _ = _perturbation_walk(g, mask, max_steps)
         if kind == _WALK_CAP:
             capped = True
-        elif kind == _WALK_ZERO and k >= 2:
+        elif kind == _WALK_ZERO and t >= 3:
             # Zero first recurs after step 2, so the step-2 configuration is
             # nonzero; re-check dynamically anyway before reporting.
             if _zero2_mask(g, mask):
@@ -141,8 +120,8 @@ def find_zero_not_zero2(
             return SearchWitness(
                 graph=g,
                 subset=VertexSet(g.n, mask),
-                zero_step=k + 1,
-                note=f"zero restored at step {k + 1}, nonzero at step 2",
+                zero_step=t,
+                note=f"zero restored at step {t}, nonzero at step 2",
             )
     return SearchStatus.INCONCLUSIVE if capped else SearchStatus.NOT_FOUND
 
@@ -293,12 +272,13 @@ def search_all_graphs(
 
     bounds = [(s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)]
     args = [(n, s, e, connected_only, max_steps) for s, e in bounds]
+    procs = min(workers, len(args))  # never more processes than chunks
     pool = None
     try:
-        if workers > 1:
+        if procs > 1:
             import multiprocessing
 
-            pool = multiprocessing.Pool(workers)
+            pool = multiprocessing.Pool(procs)
             results = pool.imap(_scan_chunk, args)
         else:
             seen = set() if iso_filter else None

@@ -4,7 +4,8 @@ A perturbation of a subset H makes every H-vertex send one chip to each
 neighbour, wealth rules suspended; afterwards ordinary Diffusion resumes.
 Step numbering follows the perturbation convention: step 0 is the all-zero
 start, step 1 the post-perturbation configuration, and each later step one
-Diffusion firing.
+Diffusion firing. Every perturbation walk (is_zero_invoking, pq, and the
+census in enumeration) goes through _perturbation_walk.
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -127,23 +128,36 @@ def is_zero_invoking(
 def _zero_invoking_mask(g: Graph, mask: int, max_steps: int) -> ZeroInvokingOutcome:
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    c = _perturb_mask(g, mask)
-    if is_zero_configuration(c):
-        # No chip ever moved; the process never left zero.
-        return ZeroInvokingOutcome(ZeroStatus.REACHED_ZERO, step=0, report=None, trace_len=1)
-    # Step 1 is c, so the cap allows max_steps - 1 firings and firing k yields step t = k + 1.
-    k, kind, before, last = _walk(g.edges, c, max_steps - 1, True)
-    t = k + 1
+    t, kind, before, last = _perturbation_walk(g, mask, max_steps)
     if kind == _WALK_CAP:
         return ZeroInvokingOutcome(ZeroStatus.CAP_EXCEEDED, step=None, report=None, trace_len=t)
     if kind == _WALK_ZERO:
-        return ZeroInvokingOutcome(ZeroStatus.REACHED_ZERO, step=t, report=None, trace_len=t)
+        # t == 0: no chip ever moved; the trace is the zero start alone.
+        return ZeroInvokingOutcome(
+            ZeroStatus.REACHED_ZERO, step=t, report=None, trace_len=max(t, 1)
+        )
     report = PeriodReport(
-        preperiod=t - kind, period=kind, period_configs=(last, before)[:kind], steps_taken=k
+        preperiod=t - kind, period=kind, period_configs=(last, before)[:kind], steps_taken=t - 1
     )
     return ZeroInvokingOutcome(
         ZeroStatus.PERIOD_WITHOUT_ZERO, step=None, report=report, trace_len=t
     )
+
+
+def _perturbation_walk(g: Graph, mask: int, max_steps: int) -> tuple:
+    """The perturbation walk of one subset, in perturbation step numbering.
+
+    Returns (t, kind, C_{t-1}, C_t) with kind as in engine._walk: t is the
+    first all-zero step, the step that confirmed the cycle, or max_steps at
+    the cap. t == 0 (kind _WALK_ZERO) marks a perturbation that moved no chip.
+    C_{t-1} is None when t <= 1. Callers check max_steps >= 1.
+    """
+    c = _perturb_mask(g, mask)
+    if not any(c):
+        return 0, _WALK_ZERO, None, c
+    # Step 1 is c, so the cap allows max_steps - 1 firings and firing k yields step k + 1.
+    k, kind, before, last = _walk(g.edges, c, max_steps - 1, True)
+    return k + 1, kind, before, last
 
 
 def subsets_of_size(n: int, k: int) -> Iterator[int]:
@@ -195,14 +209,16 @@ def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
     _check_enumerable(g)
     if g.n == 0:
         raise ValueError("pq is undefined on the empty graph (no nonempty subsets)")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     capped_below = False
     for k in range(1, g.n + 1):
         capped_here = False
         for mask in subsets_of_size(g.n, k):
-            outcome = _zero_invoking_mask(g, mask, max_steps)
-            if outcome.reached_zero:
+            kind = _perturbation_walk(g, mask, max_steps)[1]
+            if kind == _WALK_ZERO:
                 return UNKNOWN if capped_below else k
-            if outcome.status is ZeroStatus.CAP_EXCEEDED:
+            if kind == _WALK_CAP:
                 capped_here = True
         capped_below = capped_below or capped_here
     raise AssertionError("unreachable: the full vertex set is always a witness")

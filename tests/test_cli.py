@@ -137,6 +137,12 @@ class TestCountAndQuiescentNumbers:
         assert result.returncode == 1
         assert json.loads(result.stdout)["status"] == "unknown"
 
+    def test_pq_zero_step_cap_exits_one(self):
+        result = run_cli("pq", "--graph", "path:3", "--max-steps", "0")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "max_steps" in result.stderr
+
 
 class TestSearch:
     def test_n3_no_witnesses(self):

@@ -1,4 +1,5 @@
 import functools
+import multiprocessing
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from chip_diffusion.enumeration import (
     all_edge_pairs,
     canonical_edge_mask,
 )
+from chip_diffusion.quiescence import _ccd_mask
 
 import naive
 from strategies import graphs
@@ -52,7 +54,7 @@ class TestCount:
     @given(graphs(max_n=7))
     @settings(max_examples=150)
     def test_matches_per_subset_predicates(self, g):
-        # The inlined counting loop against both independent predicates.
+        # The halved CCD count against both independent predicates.
         by_ccd = sum(1 for m in range(1 << g.n) if is_ccd(g, VertexSet(g.n, m)))
         by_dynamic = sum(
             1 for m in range(1 << g.n) if is_zero2_invoking(g, VertexSet(g.n, m))
@@ -67,6 +69,33 @@ class TestCount:
             1 for m in range(1 << n) if is_zero2_invoking(g, VertexSet(n, m))
         )
         assert count_zero2_subsets(g) == dynamic
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_ccd_complement_rule(self, n):
+        # The lemma behind halving: CCD holds for H exactly when it holds for V-H.
+        full = (1 << n) - 1
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            for h in range(1 << n):
+                assert _ccd_mask(g, h) == _ccd_mask(g, full ^ h), (edge_mask, h)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_halved_count_matches_unhalved_naive(self, n):
+        full = (1 << n) - 1
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            adj = naive.adjacency(n, g.edges)
+            passes = [naive.ccd(adj, {v for v in range(n) if m >> v & 1}) for m in range(full + 1)]
+            for include in (True, False):
+                want = sum(
+                    ok for m, ok in enumerate(passes) if include or m not in (0, full)
+                )
+                assert count_zero2_subsets(g, include_trivial=include) == want, edge_mask
+
+    def test_empty_graph(self):
+        # The empty set is its own complement, so halving must not double it.
+        assert count_zero2_subsets(Graph(0), include_trivial=True) == 1
+        assert count_zero2_subsets(Graph(0), include_trivial=False) == 0
 
     @given(graphs(min_n=1, max_n=7))
     def test_count_is_even(self, g):
@@ -299,10 +328,42 @@ class TestSearchAllGraphs:
         lines = ckpt.read_text().strip().splitlines()
         assert lines == ["4 15", "4 31", "4 47", "4 63", "4 63"]
 
-    def test_workers_match_sequential(self):
+    def test_workers_match_sequential(self, monkeypatch):
+        # Four chunks, so two real worker processes share the scan.
+        monkeypatch.setattr(enumeration, "_CHUNK", 16)
         seq = list(search_all_graphs(4, connected_only=True, workers=1))
         par = list(search_all_graphs(4, connected_only=True, workers=2))
         assert seq == par
+
+    @pytest.mark.parametrize(
+        "chunk,workers,want",
+        [(4096, 8, []), (128, 64, [8]), (128, 2, [2])],
+    )
+    def test_pool_sized_by_chunks(self, monkeypatch, chunk, workers, want):
+        # A stub pool records the size asked for and scans in-process, so no
+        # test here starts real workers. n = 5 has 1,024 edge masks.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+            def terminate(self):
+                pass
+
+            def join(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+        events = []
+        got = list(search_all_graphs(5, reporter=events.append, workers=workers))
+        assert sizes == want
+        assert got == []
+        assert events[-1].scanned == events[-1].total == 1024
 
     def test_iso_filter_same_conclusion(self):
         plain = list(search_all_graphs(4, connected_only=True))

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chip_diffusion import (
+    DEFAULT_MAX_STEPS,
     UNKNOWN,
     Graph,
     VertexSet,
@@ -29,7 +31,7 @@ from chip_diffusion import (
 )
 
 import naive
-from strategies import graphs_with_subset
+from strategies import graphs, graphs_with_subset
 
 
 def vs(g, *members):
@@ -277,20 +279,31 @@ class TestPq2:
             pq2(Graph(0))
 
 
+def naive_pq(g, cap):
+    """Smallest nonempty zero-invoking subset size from the dict-based oracle,
+    UNKNOWN if some smaller size had a capped subset."""
+    adj = naive.adjacency(g.n, g.edges)
+    capped_below = False
+    for k in range(1, g.n + 1):
+        kinds = {
+            naive.zero_invoking_outcome(adj, set(c), cap)[0]
+            for c in itertools.combinations(range(g.n), k)
+        }
+        if "reached_zero" in kinds:
+            return UNKNOWN if capped_below else k
+        capped_below = capped_below or "cap_exceeded" in kinds
+    raise AssertionError("the full vertex set is always zero-invoking")
+
+
 class TestPq:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_paths_match_exhaustive_reference(self, n):
-        g = path(n)
-        adj = naive.adjacency(g.n, g.edges)
-        expected = None
-        for k in range(1, n + 1):
-            if any(
-                naive.zero_invoking_outcome(adj, set(c))[0] == "reached_zero"
-                for c in itertools.combinations(range(n), k)
-            ):
-                expected = k
-                break
-        assert pq(g) == expected
+        assert pq(path(n)) == naive_pq(path(n), DEFAULT_MAX_STEPS)
+
+    @given(graphs(max_n=6), st.sampled_from([1, 2, 3, DEFAULT_MAX_STEPS]))
+    @settings(max_examples=150)
+    def test_matches_naive(self, g, cap):
+        assert pq(g, max_steps=cap) == naive_pq(g, cap)
 
     def test_at_most_pq2(self, rigid_six):
         result = pq(rigid_six)
@@ -299,3 +312,7 @@ class TestPq:
 
     def test_unknown_under_tiny_cap(self):
         assert pq(path(3), max_steps=1) is UNKNOWN
+
+    def test_bad_cap(self):
+        with pytest.raises(ValueError, match="max_steps"):
+            pq(path(3), max_steps=0)
