@@ -141,11 +141,11 @@ def _cmd_pq(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    inconclusive = 0
+    final = None
 
     def report(p: enumeration.SearchProgress) -> None:
-        nonlocal inconclusive
-        inconclusive = p.inconclusive
+        nonlocal final
+        final = p
         if args.progress:
             print(
                 f"progress: {p.scanned}/{p.total} edge masks, "
@@ -162,9 +162,7 @@ def _cmd_search(args) -> int:
         resume=args.resume,
         workers=args.threads,
     )
-    count = 0
     for w in stream:
-        count += 1
         print(
             json.dumps(
                 {
@@ -177,8 +175,11 @@ def _cmd_search(args) -> int:
             ),
             flush=True,
         )
-    print(f"search done: {count} witnesses, {inconclusive} inconclusive", file=sys.stderr)
-    return 1 if inconclusive else 0
+    print(
+        f"search done: {final.witnesses} witnesses, {final.inconclusive} inconclusive",
+        file=sys.stderr,
+    )
+    return 1 if final.inconclusive else 0
 
 
 def _cmd_paths_table(args) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -30,8 +31,8 @@ from .quiescence import subsets_of_size
 # stops being a usable oracle.
 EXHAUSTIVE_COUNT_LIMIT = 26
 
-CHECKPOINT_FLUSH_INTERVAL = 1 << 16
 _CHUNK = 4096
+_CHECKPOINT_RE = re.compile(r"search (\d+) (\d+) ([01]) (\d+) (\d+)\n\1 (\d+)\n")
 
 
 class SearchStatus(Enum):
@@ -51,6 +52,10 @@ class SearchWitness:
 
 @dataclass(frozen=True)
 class SearchProgress:
+    """How far a search_all_graphs run has got: edge masks scanned out of
+    total, and the witnesses and inconclusive graphs among them. The counts
+    are cumulative across a resume."""
+
     n: int
     scanned: int
     total: int
@@ -140,14 +145,21 @@ def graph_from_edge_mask(
     return Graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
+def _labelled_graphs(
+    n: int, start: int, stop: int, connected_only: bool
+) -> Iterator[tuple[int, Graph]]:
+    """Labelled graphs on n vertices with edge masks in [start, stop), as
+    (edge_mask, Graph) in ascending mask order."""
+    pairs = all_edge_pairs(n)
+    for mask in range(start, stop):
+        g = graph_from_edge_mask(n, mask, pairs)
+        if not connected_only or is_connected(g):
+            yield mask, g
+
+
 def all_graphs(n: int, connected_only: bool = False) -> Iterator[tuple[int, Graph]]:
     """Every labelled graph on n vertices as (edge_mask, Graph), ascending mask."""
-    pairs = all_edge_pairs(n)
-    for mask in range(1 << len(pairs)):
-        g = graph_from_edge_mask(n, mask, pairs)
-        if connected_only and not is_connected(g):
-            continue
-        yield mask, g
+    return _labelled_graphs(n, 0, 1 << (n * (n - 1) // 2), connected_only)
 
 
 def canonical_edge_mask(g: Graph) -> int:
@@ -168,57 +180,43 @@ def canonical_edge_mask(g: Graph) -> int:
     return best if best is not None else 0
 
 
-def _read_checkpoint(path: Path, n: int) -> int:
-    """Last completed edge mask recorded in the checkpoint, or -1 if none."""
+def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tuple[int, int, int]:
+    """(next edge mask, witnesses, inconclusive) recorded in the checkpoint of
+    the search run = (n, max_steps, connected_only), or (0, 0, 0) if none."""
     if not path.exists():
-        return -1
-    last = None
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            rec_n, rec_mask = int(parts[0]), int(parts[1])
-        except (IndexError, ValueError):
-            raise ValueError(
-                f"checkpoint {path}, line {line_no}: expected 'n edge_mask', got {line!r}"
-            ) from None
-        if len(parts) != 2:
-            raise ValueError(
-                f"checkpoint {path}, line {line_no}: expected 'n edge_mask', got {line!r}"
-            )
-        if rec_n != n:
-            raise ValueError(
-                f"checkpoint {path}, line {line_no}: recorded n={rec_n} but searching n={n}"
-            )
-        last = rec_mask
-    return -1 if last is None else last
+        return 0, 0, 0
+    text = path.read_text()
+    record = _CHECKPOINT_RE.fullmatch(text)
+    if record is None:
+        raise ValueError(
+            f"checkpoint {path}: expected 'search n max_steps connected_only witnesses "
+            f"inconclusive' then 'n edge_mask', got {text[:200]!r}"
+        )
+    rec_n, rec_steps, rec_conn, witnesses, inconclusive, last = map(int, record.groups())
+    if (rec_n, rec_steps, rec_conn) != run:
+        raise ValueError(
+            f"checkpoint {path} is from a search with n={rec_n}, max_steps={rec_steps}, "
+            f"connected_only={bool(rec_conn)}, not n={run[0]}, max_steps={run[1]}, "
+            f"connected_only={run[2]}"
+        )
+    if last >= total:
+        raise ValueError(f"checkpoint {path}: edge mask {last} is out of range")
+    return last + 1, witnesses, inconclusive
 
 
-def _scan_chunk(
-    args: tuple, seen: set[int] | None = None
-) -> tuple[list[tuple[int, int, int, str]], int]:
-    """Search edge masks [start, stop), skipping canonical forms already in seen."""
+def _scan_chunk(args: tuple) -> list[tuple[int, SearchWitness | None]]:
+    """Search edge masks [start, stop): one (edge_mask, witness) event per
+    witness graph and one (edge_mask, None) per inconclusive graph, in mask
+    order."""
     n, start, stop, connected_only, max_steps = args
-    pairs = all_edge_pairs(n)
-    found = []
-    inconclusive = 0
-    for mask in range(start, stop):
-        g = graph_from_edge_mask(n, mask, pairs)
-        if connected_only and not is_connected(g):
-            continue
-        if seen is not None:
-            canon = canonical_edge_mask(g)
-            if canon in seen:
-                continue
-            seen.add(canon)
+    events = []
+    for mask, g in _labelled_graphs(n, start, stop, connected_only):
         res = find_zero_not_zero2(g, max_steps)
         if isinstance(res, SearchWitness):
-            found.append((mask, res.subset.mask, res.zero_step, res.note))
+            events.append((mask, res))
         elif res is SearchStatus.INCONCLUSIVE:
-            inconclusive += 1
-    return found, inconclusive
+            events.append((mask, None))
+    return events
 
 
 def search_all_graphs(
@@ -230,45 +228,47 @@ def search_all_graphs(
     checkpoint: str | os.PathLike | None = None,
     resume: bool = False,
     workers: int = 1,
-    iso_filter: bool = False,
 ) -> Iterator[SearchWitness]:
     """Run find_zero_not_zero2 over every labelled graph on n vertices,
     yielding witnesses in ascending edge-mask order.
 
-    The checkpoint file records "n edge_mask" lines (last completed mask),
-    flushed every 2^16 graphs and on generator close, so an interrupted scan
-    resumes where it stopped with identical combined output. iso_filter skips
-    graphs isomorphic to one already scanned; it changes which labelled copies
-    are visited, so it is incompatible with resume and with workers.
+    The checkpoint holds one record, atomically replaced after every chunk and
+    when the generator closes: "search n max_steps connected_only witnesses
+    inconclusive", then "n edge_mask", the last mask those counts cover (the
+    witness's mask if closed right after one). resume continues from it, so
+    the output and the final SearchProgress equal an uninterrupted run's; a
+    file in another shape or from another n, max_steps or connected_only is
+    refused. reporter gets a SearchProgress after every chunk, or once with
+    the recorded totals if a resumed checkpoint has nothing left to scan; it
+    counts edge masks scanned, cumulative across a resume.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if n > 7:
         raise ValueError(f"graph census is 2^C(n,2), refusing n={n} > 7")
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if iso_filter and (resume or checkpoint is not None or workers > 1):
-        raise ValueError("iso_filter cannot be combined with checkpointing or workers")
     total = 1 << (n * (n - 1) // 2)
-    start = 0
     ckpt_path = Path(checkpoint) if checkpoint is not None else None
+    start = witnesses = inconclusive = 0
     if resume:
         if ckpt_path is None:
             raise ValueError("resume requires a checkpoint path")
-        start = _read_checkpoint(ckpt_path, n) + 1
+        start, witnesses, inconclusive = _read_checkpoint(
+            ckpt_path, (n, max_steps, connected_only), total
+        )
+    done = saved = start  # masks below done are counted, below saved are on file
 
-    pairs = all_edge_pairs(n)
-    scanned = start
-    witnesses = 0
-    inconclusive = 0
-    last_done = start - 1
-    next_flush = (start // CHECKPOINT_FLUSH_INTERVAL + 1) * CHECKPOINT_FLUSH_INTERVAL
-
-    def _write_checkpoint():
-        with open(ckpt_path, "a") as fh:
-            fh.write(f"{n} {last_done}\n")
+    def save() -> None:
+        tmp = ckpt_path.with_name(ckpt_path.name + ".tmp")
+        with open(tmp, "w") as fh:
+            fh.write(f"search {n} {max_steps} {int(connected_only)} {witnesses} {inconclusive}\n")
+            fh.write(f"{n} {done - 1}\n")
             fh.flush()
             os.fsync(fh.fileno())
+        os.replace(tmp, ckpt_path)
 
     bounds = [(s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)]
     args = [(n, s, e, connected_only, max_steps) for s, e in bounds]
@@ -281,29 +281,26 @@ def search_all_graphs(
             pool = multiprocessing.Pool(procs)
             results = pool.imap(_scan_chunk, args)
         else:
-            seen = set() if iso_filter else None
-            results = (_scan_chunk(a, seen) for a in args)
-        for (s, e), (found, inc) in zip(bounds, results):
-            inconclusive += inc
-            for mask, subset_mask, zero_step, note in found:
-                last_done = mask
+            results = map(_scan_chunk, args)
+        for (_, e), events in zip(bounds, results):
+            for mask, witness in events:
+                if witness is None:
+                    inconclusive += 1
+                    continue
                 witnesses += 1
-                yield SearchWitness(
-                    graph=graph_from_edge_mask(n, mask, pairs),
-                    subset=VertexSet(n, subset_mask),
-                    zero_step=zero_step,
-                    note=note,
-                )
-            last_done = e - 1
-            scanned = e
-            if ckpt_path is not None and scanned >= next_flush:
-                _write_checkpoint()
-                next_flush += CHECKPOINT_FLUSH_INTERVAL
+                done = mask + 1
+                yield witness
+            done = e
+            if ckpt_path is not None:
+                save()
+                saved = done
             if reporter is not None:
-                reporter(SearchProgress(n, scanned, total, witnesses, inconclusive))
+                reporter(SearchProgress(n, done, total, witnesses, inconclusive))
+        if not bounds and reporter is not None:
+            reporter(SearchProgress(n, done, total, witnesses, inconclusive))
     finally:
         if pool is not None:
             pool.terminate()
             pool.join()
-        if ckpt_path is not None and last_done >= start:
-            _write_checkpoint()
+        if ckpt_path is not None and done != saved:
+            save()

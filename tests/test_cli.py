@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 P5_TRACE_CSV = """\
@@ -170,6 +172,26 @@ class TestSearch:
         result = run_cli("search", "--n", "3", "--threads", "0")
         assert result.returncode == 1
         assert "workers" in result.stderr
+
+    def test_negative_n_exits_one(self):
+        result = run_cli("search", "--n", "-1")
+        assert result.returncode == 1
+        assert "n must be >= 0" in result.stderr
+
+    @pytest.mark.parametrize(
+        "text",
+        ["search 4 50 0 0 0\n4 10\n", "search 3 2 0 0 0\n3 5\n", "search 3 50 1 0 0\n3 5\n",
+         "3 5\n", "search 3 50 0 0\n3 5\n"],
+        ids=["other-n", "other-max-steps", "connected-only", "old-log", "garbled"],
+    )
+    def test_resume_refuses_foreign_checkpoint(self, tmp_path, text):
+        ckpt = tmp_path / "scan.ckpt"
+        ckpt.write_text(text)
+        result = run_cli("search", "--n", "3", "--checkpoint", str(ckpt), "--resume")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "checkpoint" in result.stderr
+        assert ckpt.read_text() == text
 
 
 class TestPathsTable:

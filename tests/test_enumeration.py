@@ -22,7 +22,7 @@ from chip_diffusion import (
     path,
     search_all_graphs,
 )
-from chip_diffusion import enumeration
+from chip_diffusion import cli, enumeration
 from chip_diffusion.enumeration import (
     SearchProgress,
     all_edge_pairs,
@@ -271,6 +271,10 @@ class TestSearchAllGraphs:
         with pytest.raises(ValueError):
             next(iter(search_all_graphs(8)))
 
+    def test_refuses_negative_order(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            next(iter(search_all_graphs(-1)))
+
     def test_checkpoint_interrupt_and_resume(self, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "_CHUNK", 8)
         ckpt = tmp_path / "scan.ckpt"
@@ -310,23 +314,55 @@ class TestSearchAllGraphs:
 
     def test_resume_rejects_other_order(self, tmp_path):
         ckpt = tmp_path / "scan.ckpt"
-        ckpt.write_text("5 100\n")
+        ckpt.write_text("search 5 50 0 0 0\n5 100\n")
         with pytest.raises(ValueError, match="n=5"):
-            next(iter(search_all_graphs(4, checkpoint=ckpt, resume=True)))
+            next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
+
+    @pytest.mark.parametrize(
+        "record,match",
+        [
+            ("search 4 2 0 0 0\n4 10\n", "max_steps=2"),
+            ("search 4 50 1 0 0\n4 10\n", "connected_only=True"),
+        ],
+        ids=["max-steps", "connected-only"],
+    )
+    def test_resume_rejects_other_parameters(self, tmp_path, record, match):
+        ckpt = tmp_path / "scan.ckpt"
+        ckpt.write_text(record)
+        with pytest.raises(ValueError, match=match):
+            next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
 
     def test_resume_rejects_garbage(self, tmp_path):
         ckpt = tmp_path / "scan.ckpt"
-        ckpt.write_text("4 not-a-mask\n")
-        with pytest.raises(ValueError, match="line 1"):
-            next(iter(search_all_graphs(4, checkpoint=ckpt, resume=True)))
+        for text in [
+            "4 23\n",  # the old append-only log
+            "4 15\n4 31\n",
+            "search 4 50 0 0 0\n4 not-a-mask\n",
+            "search 4 50 0 0 0\n4 2\n4 3\n",
+            "search 4 50 0 0 0\n4 3",  # torn: no final newline
+            "search 4 50 0 0 0\n5 3\n",
+            "search 4 50 0 0 0\n4 64\n",  # beyond the last edge mask
+            "",
+        ]:
+            ckpt.write_text(text)
+            with pytest.raises(ValueError, match="checkpoint"):
+                next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
 
-    def test_flush_interval_writes_lines(self, tmp_path, monkeypatch):
+    def test_checkpoint_holds_last_chunk_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "_CHUNK", 8)
-        monkeypatch.setattr(enumeration, "CHECKPOINT_FLUSH_INTERVAL", 16)
         ckpt = tmp_path / "scan.ckpt"
-        list(search_all_graphs(4, checkpoint=ckpt))
-        lines = ckpt.read_text().strip().splitlines()
-        assert lines == ["4 15", "4 31", "4 47", "4 63", "4 63"]
+        seen = []
+
+        def read_record(p: SearchProgress):
+            seen.append(ckpt.read_text())
+            assert seen[-1] == (
+                f"search 4 2 0 {p.witnesses} {p.inconclusive}\n4 {p.scanned - 1}\n"
+            )
+
+        list(search_all_graphs(4, max_steps=2, reporter=read_record, checkpoint=ckpt))
+        assert len(seen) == 8
+        assert ckpt.read_text() == seen[-1]
+        assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
 
     def test_workers_match_sequential(self, monkeypatch):
         # Four chunks, so two real worker processes share the scan.
@@ -365,38 +401,77 @@ class TestSearchAllGraphs:
         assert got == []
         assert events[-1].scanned == events[-1].total == 1024
 
-    def test_iso_filter_same_conclusion(self):
-        plain = list(search_all_graphs(4, connected_only=True))
-        filtered = list(search_all_graphs(4, connected_only=True, iso_filter=True))
-        assert bool(plain) == bool(filtered)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_at_every_chunk_boundary(self, tmp_path, monkeypatch, capsys, workers):
+        # Eight chunks of 128 edge masks at n = 5. Each leg is interrupted from
+        # the reporter after k chunks, then resumed through the library and
+        # through the CLI; k = 8 resumes a finished checkpoint.
+        monkeypatch.setattr(enumeration, "_CHUNK", 128)
+        argv = ["search", "--n", "5", "--max-steps", "2", "--threads", str(workers)]
+        events = []
+        full = list(search_all_graphs(5, 2, events.append, workers=workers))
+        want = events[-1]
+        assert want == SearchProgress(5, 1024, 1024, 0, 972)
+        assert cli.main(argv) == 1
+        want_err = capsys.readouterr().err
+        assert want_err == "search done: 0 witnesses, 972 inconclusive\n"
 
-    def test_iso_filter_rejects_checkpointing(self, tmp_path):
-        with pytest.raises(ValueError):
-            next(
-                iter(
-                    search_all_graphs(
-                        3, iso_filter=True, checkpoint=tmp_path / "x", resume=False
-                    )
+        for k in range(1, 9):
+            ckpt = tmp_path / f"stop{k}.ckpt"
+
+            def stop_after_k(p: SearchProgress):
+                if p.scanned == 128 * k:
+                    raise _Interrupt
+
+            with pytest.raises(_Interrupt):
+                list(search_all_graphs(5, 2, stop_after_k, checkpoint=ckpt, workers=workers))
+            copy = tmp_path / f"stop{k}.cli.ckpt"
+            copy.write_text(ckpt.read_text())
+
+            events = []
+            resumed = list(
+                search_all_graphs(
+                    5, 2, events.append, checkpoint=ckpt, resume=True, workers=workers
                 )
             )
+            assert resumed == full
+            assert len(events) == max(8 - k, 1)  # a finished checkpoint reports once
+            assert events[-1] == want
+            assert cli.main([*argv, "--checkpoint", str(copy), "--resume"]) == 1
+            assert capsys.readouterr() == ("", want_err)
 
     def test_witness_pipeline(self, monkeypatch):
         # No real witness is known (that existence is the open question), so
-        # fake the per-graph search to exercise emission, ordering, and the
-        # checkpoint bookkeeping around yields.
-        fake_hits = {5: (1, 4, "fabricated"), 6: (2, 7, "fabricated")}
-
-        def fake_find(g, max_steps=0):
-            pairs = all_edge_pairs(g.n)
-            mask = 0
-            for i, p in enumerate(pairs):
-                if p in g.edges:
-                    mask |= 1 << i
-            if mask in fake_hits:
-                smask, step, note = fake_hits[mask]
-                return SearchWitness(g, VertexSet(g.n, smask), step, note)
-            return SearchStatus.NOT_FOUND
-
-        monkeypatch.setattr(enumeration, "find_zero_not_zero2", fake_find)
+        # fake the per-graph search to exercise emission and ordering.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         got = list(search_all_graphs(3))
         assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 7)]
+
+    def test_witness_mid_chunk_close_and_resume(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        events = []
+        full = list(search_all_graphs(3, reporter=events.append))
+        want = events[-1]
+        assert (want.witnesses, want.inconclusive) == (2, 2)
+
+        ckpt = tmp_path / "scan.ckpt"
+        stream = search_all_graphs(3, checkpoint=ckpt)
+        partial = [next(stream)]
+        stream.close()
+        assert ckpt.read_text() == f"search 3 {DEFAULT_MAX_STEPS} 0 1 1\n3 5\n"
+
+        events = []
+        resumed = list(search_all_graphs(3, reporter=events.append, checkpoint=ckpt, resume=True))
+        assert partial + resumed == full
+        assert events[-1] == want
+
+
+def _fake_find(g, max_steps=0):
+    """find_zero_not_zero2 with fabricated witnesses at edge masks 5 and 6 of
+    n = 3, and inconclusive graphs at masks 2 and 7."""
+    mask = sum(1 << i for i, p in enumerate(all_edge_pairs(g.n)) if p in g.edges)
+    fake_hits = {5: (1, 4, "fabricated"), 6: (2, 7, "fabricated")}
+    if mask in fake_hits:
+        smask, step, note = fake_hits[mask]
+        return SearchWitness(g, VertexSet(g.n, smask), step, note)
+    return SearchStatus.INCONCLUSIVE if mask in (2, 7) else SearchStatus.NOT_FOUND
