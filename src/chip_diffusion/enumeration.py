@@ -182,10 +182,14 @@ def canonical_edge_mask(g: Graph) -> int:
 
 def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tuple[int, int, int]:
     """(next edge mask, witnesses, inconclusive) recorded in the checkpoint of
-    the search run = (n, max_steps, connected_only), or (0, 0, 0) if none."""
-    if not path.exists():
-        return 0, 0, 0
-    text = path.read_text()
+    the search run = (n, max_steps, connected_only). A missing file is an
+    error: resuming from nothing would silently restart the scan."""
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        raise ValueError(
+            f"checkpoint {path} does not exist; drop --resume to start a new search"
+        ) from None
     record = _CHECKPOINT_RE.fullmatch(text)
     if record is None:
         raise ValueError(
@@ -237,10 +241,11 @@ def search_all_graphs(
     inconclusive", then "n edge_mask", the last mask those counts cover (the
     witness's mask if closed right after one). resume continues from it, so
     the output and the final SearchProgress equal an uninterrupted run's; a
-    file in another shape or from another n, max_steps or connected_only is
-    refused. reporter gets a SearchProgress after every chunk, or once with
-    the recorded totals if a resumed checkpoint has nothing left to scan; it
-    counts edge masks scanned, cumulative across a resume.
+    missing file, or one in another shape or from another n, max_steps or
+    connected_only, is refused. reporter gets a SearchProgress after every
+    chunk, or once with the recorded totals if a resumed checkpoint has
+    nothing left to scan; it counts edge masks scanned, cumulative across a
+    resume.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")

@@ -1,9 +1,9 @@
 """Simple undirected graphs, vertex subsets, generators, and domination predicates.
 
-Vertices are 0-indexed integers. Subsets are bitmasks (bit v set = vertex v in
-the set), which keeps the exhaustive-enumeration layers down to popcounts and
-single-word logic. Graph and VertexSet are immutable after construction and
-safe to share across threads.
+Vertices are 0-indexed integers. Subsets and neighbourhoods are bitmasks (bit
+v set = vertex v in the set), which keeps the exhaustive-enumeration layers
+down to popcounts and single-word logic. Graph and VertexSet are immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ class Graph:
     """Simple finite undirected graph on vertices 0..n-1.
 
     No self-loops, no multi-edges. `edges` is a sorted tuple of (u, v) pairs
-    with u < v; `adj[v]` is the sorted neighbour tuple of v; `nbr_masks[v]` is
-    the same neighbourhood as a bitmask.
+    with u < v; `nbr_masks[v]` is the neighbourhood of v as a bitmask.
     """
 
-    __slots__ = ("n", "edges", "adj", "nbr_masks")
+    __slots__ = ("n", "edges", "nbr_masks")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -41,14 +40,10 @@ class Graph:
             seen.add((u, v) if u < v else (v, u))
         self.n = n
         self.edges = tuple(sorted(seen))
-        neigh = [[] for _ in range(n)]
         masks = [0] * n
         for u, v in self.edges:
-            neigh[u].append(v)
-            neigh[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.adj = tuple(tuple(sorted(ns)) for ns in neigh)
         self.nbr_masks = tuple(masks)
 
     @property
@@ -60,13 +55,10 @@ class Graph:
         return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.nbr_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (self.nbr_masks[u] >> v) & 1 == 1
-
-    def vertex_set(self, vertices: Iterable[int] = ()) -> VertexSet:
-        return VertexSet.from_indices(self.n, vertices)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -133,14 +125,6 @@ class VertexSet:
 def _check_set(g: Graph, s: VertexSet) -> None:
     if s.n != g.n:
         raise ValueError(f"subset is over {s.n} vertices but graph has {g.n}")
-
-
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from (u, v) pairs; duplicates collapse to one edge.
-
-    Rejects self-loops and out-of-range endpoints.
-    """
-    return Graph(n, pairs)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -254,18 +238,22 @@ def parse_graph_spec(spec: str) -> Graph:
     raise ValueError(f"bad graph spec {spec!r}")
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = [0]
+def _reach(g: Graph, start: int, within: int) -> int:
+    """Mask of start and of the vertices reachable from it through vertices
+    of within."""
+    masks = g.nbr_masks
+    seen = frontier = 1 << start
     while frontier:
-        v = frontier.pop()
-        for u in g.adj[v]:
-            if not (seen >> u) & 1:
-                seen |= 1 << u
-                frontier.append(u)
-    return seen == g.full_mask
+        v = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        fresh = masks[v] & within & ~seen
+        seen |= fresh
+        frontier |= fresh
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n <= 1 or _reach(g, 0, g.full_mask) == g.full_mask
 
 
 def degree_into(g: Graph, v: int, s: VertexSet) -> int:
@@ -330,17 +318,7 @@ def components_within(g: Graph, s: VertexSet) -> list[VertexSet]:
     remaining = s.mask
     out = []
     while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = 1 << start
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            fresh = g.nbr_masks[v] & remaining & ~comp
-            while fresh:
-                u = (fresh & -fresh).bit_length() - 1
-                comp |= 1 << u
-                frontier.append(u)
-                fresh &= fresh - 1
+        comp = _reach(g, (remaining & -remaining).bit_length() - 1, remaining)
         out.append(VertexSet(g.n, comp))
         remaining &= ~comp
     return out

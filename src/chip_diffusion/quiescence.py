@@ -78,11 +78,13 @@ def perturb(g: Graph, h: VertexSet) -> tuple[int, ...]:
 
 
 def _perturb_mask(g: Graph, mask: int) -> tuple[int, ...]:
-    masks = g.nbr_masks
-    return tuple(
-        (masks[v] & mask).bit_count() - (len(g.adj[v]) if (mask >> v) & 1 else 0)
-        for v in range(g.n)
-    )
+    # P = -L 1_H: a vertex outside H gains one chip per neighbour in H, a
+    # vertex in H loses one per neighbour outside H. The census calls this
+    # once per walk; a list builds the tuple faster than a generator does.
+    return tuple([
+        -(nbrs & ~mask).bit_count() if (mask >> v) & 1 else (nbrs & mask).bit_count()
+        for v, nbrs in enumerate(g.nbr_masks)
+    ])
 
 
 def is_ccd(g: Graph, h: VertexSet) -> bool:

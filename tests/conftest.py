@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from chip_diffusion import from_edge_list
+from chip_diffusion import Graph
 
 sys.path.insert(0, str(Path(__file__).parent))  # let tests import naive/strategies
 
@@ -15,4 +15,4 @@ RIGID_SIX_EDGES = [(5, 4), (4, 3), (4, 2), (4, 1), (3, 1), (3, 0), (2, 1), (1, 0
 
 @pytest.fixture
 def rigid_six():
-    return from_edge_list(6, RIGID_SIX_EDGES)
+    return Graph(6, RIGID_SIX_EDGES)

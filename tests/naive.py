@@ -82,3 +82,22 @@ def ccd(adj, subset):
 def dominating(adj, subset):
     subset = set(subset)
     return all(v in subset or adj[v] & subset for v in adj)
+
+
+def components(adj, subset):
+    """Connected pieces of the subgraph induced by subset, as sets ordered by
+    least vertex."""
+    left = set(subset)
+    out = []
+    for v in sorted(left):
+        if v not in left:
+            continue
+        piece, stack = set(), [v]
+        while stack:
+            u = stack.pop()
+            if u not in piece:
+                piece.add(u)
+                stack.extend(w for w in adj[u] if w in left)
+        left -= piece
+        out.append(piece)
+    return out

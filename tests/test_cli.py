@@ -193,6 +193,14 @@ class TestSearch:
         assert "checkpoint" in result.stderr
         assert ckpt.read_text() == text
 
+    def test_resume_refuses_missing_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "missing.ckpt"
+        result = run_cli("search", "--n", "3", "--checkpoint", str(ckpt), "--resume")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert f"checkpoint {ckpt} does not exist; drop --resume" in result.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPathsTable:
     def test_csv_golden(self):

@@ -1,5 +1,6 @@
 import functools
 import multiprocessing
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,12 @@ class TestSearchAllGraphs:
         with pytest.raises(ValueError):
             next(iter(search_all_graphs(3, resume=True)))
 
+    def test_resume_rejects_missing_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "missing.ckpt"
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint {ckpt} does not exist")):
+            next(iter(search_all_graphs(3, checkpoint=ckpt, resume=True)))
+        assert list(tmp_path.iterdir()) == []
+
     def test_resume_rejects_other_order(self, tmp_path):
         ckpt = tmp_path / "scan.ckpt"
         ckpt.write_text("search 5 50 0 0 0\n5 100\n")
@@ -446,6 +453,22 @@ class TestSearchAllGraphs:
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         got = list(search_all_graphs(3))
         assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 7)]
+
+    def test_witness_through_worker_pool(self, monkeypatch):
+        # Four chunks of two edge masks, so the fabricated witnesses, each
+        # holding a Graph, come back pickled from two real worker processes.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        monkeypatch.setattr(enumeration, "_CHUNK", 2)
+        runs = []
+        for workers in (1, 2):
+            events = []
+            found = list(search_all_graphs(3, reporter=events.append, workers=workers))
+            runs.append((found, events[-1]))
+        (seq, seq_end), (par, par_end) = runs
+        assert [(w.subset.mask, w.zero_step) for w in seq] == [(1, 4), (2, 7)]
+        assert par == seq
+        assert [w.graph.nbr_masks for w in par] == [w.graph.nbr_masks for w in seq]
+        assert par_end == seq_end == SearchProgress(3, 8, 8, 2, 2)
 
     def test_witness_mid_chunk_close_and_resume(self, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)

@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from chip_diffusion import (
     EdgeListParseError,
+    Graph,
     VertexSet,
     complete,
     complete_bipartite,
@@ -13,7 +15,6 @@ from chip_diffusion import (
     components_within,
     cycle,
     degree_into,
-    from_edge_list,
     is_connected,
     is_dominating,
     is_efficient_dominating,
@@ -22,9 +23,11 @@ from chip_diffusion import (
     parse_edge_list,
     parse_graph_spec,
     path,
+    perturb,
 )
 from chip_diffusion.graphs import format_edge_list
 
+import naive
 from conftest import RIGID_SIX_EDGES
 from strategies import graphs, graphs_with_subset
 
@@ -35,36 +38,35 @@ def vs(g, *members):
 
 class TestConstruction:
     def test_single_edge(self):
-        g = from_edge_list(2, [(0, 1)])
+        g = Graph(2, [(0, 1)])
         assert g.n == 2 and g.edges == ((0, 1),)
 
     def test_rigid_six_shape(self):
-        g = from_edge_list(6, RIGID_SIX_EDGES)
+        g = Graph(6, RIGID_SIX_EDGES)
         assert g.m == 8
         assert [g.degree(v) for v in range(6)] == [2, 4, 2, 3, 4, 1]
 
     def test_duplicate_edges_collapse(self):
-        g = from_edge_list(3, [(0, 1), (0, 1)])
+        g = Graph(3, [(0, 1), (0, 1)])
         assert g.edges == ((0, 1),)
 
     def test_reversed_duplicate_collapses(self):
-        g = from_edge_list(3, [(0, 1), (1, 0)])
+        g = Graph(3, [(0, 1), (1, 0)])
         assert g.m == 1
 
     @pytest.mark.parametrize("pairs", [[(0, 3)], [(-1, 0)], [(3, 1)]])
     def test_out_of_range_rejected(self, pairs):
         with pytest.raises(ValueError, match="outside"):
-            from_edge_list(3, pairs)
+            Graph(3, pairs)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
-            from_edge_list(3, [(1, 1)])
+            Graph(3, [(1, 1)])
 
     def test_adjacency_symmetric(self):
-        g = from_edge_list(6, RIGID_SIX_EDGES)
+        g = Graph(6, RIGID_SIX_EDGES)
         for u in range(g.n):
             for v in range(g.n):
-                assert (v in g.adj[u]) == (u in g.adj[v])
                 assert g.has_edge(u, v) == g.has_edge(v, u)
 
 
@@ -120,7 +122,7 @@ class TestGenerators:
 
 class TestEdgeListFormat:
     def test_round_trip(self):
-        g = from_edge_list(6, RIGID_SIX_EDGES)
+        g = Graph(6, RIGID_SIX_EDGES)
         assert parse_edge_list(format_edge_list(g)) == g
 
     def test_parse(self):
@@ -170,7 +172,7 @@ class TestVertexSet:
 
 class TestDomination:
     def test_rigid_six_pair_dominates(self):
-        g = from_edge_list(6, RIGID_SIX_EDGES)
+        g = Graph(6, RIGID_SIX_EDGES)
         assert is_dominating(g, vs(g, 1, 4))
 
     def test_empty_set_does_not_dominate(self):
@@ -259,9 +261,29 @@ class TestConnectivity:
         assert is_connected(path(7))
 
     def test_disjoint_edges_not_connected(self):
-        assert not is_connected(from_edge_list(4, [(0, 1), (2, 3)]))
+        assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
     @given(graphs(max_n=6))
     def test_single_component_iff_connected(self, g):
         full = VertexSet(g.n, g.full_mask)
         assert is_connected(g) == (len(components_within(g, full)) <= 1)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_every_small_graph_matches_naive_oracle(n):
+    # components_within and is_connected share one search, so each is checked
+    # against the dict-based oracle rather than against the other.
+    pairs = list(itertools.combinations(range(n), 2))
+    for edge_mask in range(1 << len(pairs)):
+        chosen = [p for i, p in enumerate(pairs) if edge_mask >> i & 1]
+        g = Graph(n, chosen)
+        adj = naive.adjacency(n, chosen)
+        assert [g.degree(v) for v in range(n)] == [len(adj[v]) for v in range(n)]
+        assert is_connected(g) == (len(naive.components(adj, range(n))) <= 1), edge_mask
+        for h in range(1 << n):
+            subset = {v for v in range(n) if h >> v & 1}
+            s = VertexSet(n, h)
+            want = [sum(1 << v for v in piece) for piece in naive.components(adj, subset)]
+            assert [c.mask for c in components_within(g, s)] == want, (edge_mask, h)
+            config = naive.perturb(adj, subset)
+            assert perturb(g, s) == tuple(config[v] for v in range(n)), (edge_mask, h)

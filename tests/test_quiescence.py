@@ -15,7 +15,6 @@ from chip_diffusion import (
     complete_multipartite,
     components_within,
     domination_number,
-    from_edge_list,
     is_ccd,
     is_connected,
     is_dominating,
@@ -177,7 +176,7 @@ class TestZeroInvoking:
         assert out.reached_zero and out.step == 0
 
     def test_whole_component_is_noop(self):
-        g = from_edge_list(4, [(0, 1), (2, 3)])
+        g = Graph(4, [(0, 1), (2, 3)])
         out = is_zero_invoking(g, vs(g, 0, 1))
         assert out.reached_zero and out.step == 0
 
