@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 from . import enumeration, paths, quiescence
@@ -18,14 +18,15 @@ from .engine import trace
 from .graphs import Graph, VertexSet, parse_edge_list, parse_graph_spec
 from .quiescence import UNKNOWN, ZeroStatus
 
-_SPEC_RE = re.compile(r"^(path|cycle|complete|kbip|kpartite):")
-
 
 def _resolve_graph(source: str) -> Graph:
-    if _SPEC_RE.match(source):
+    """An existing file is an edge list. Any other source containing ':' is a
+    generator spec for parse_graph_spec; anything else is read as a file, so a
+    missing path reports the missing file."""
+    file = Path(source)
+    if ":" in source and not file.is_file():
         return parse_graph_spec(source)
-    text = Path(source).read_text()
-    return parse_edge_list(text)
+    return parse_edge_list(file.read_text())
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -42,36 +43,28 @@ def _subset(g: Graph, text: str) -> VertexSet:
     return VertexSet.from_indices(g.n, _parse_int_list(text, "subset"))
 
 
-def _config(g: Graph, text: str) -> tuple[int, ...]:
-    stacks = _parse_int_list(text, "config")
-    if len(stacks) != g.n:
-        raise ValueError(f"config has {len(stacks)} stacks but graph has {g.n} vertices")
-    return tuple(stacks)
-
-
 def _emit_json(obj) -> None:
     print(json.dumps(obj))
 
 
-def _trace_csv(rows: list[tuple[int, ...]], n: int) -> str:
-    header = ",".join(["step"] + [f"v{i}" for i in range(n)])
-    lines = [header]
-    for step, cfg in enumerate(rows):
-        lines.append(",".join([str(step)] + [str(x) for x in cfg]))
-    return "\n".join(lines) + "\n"
+def _write_csv(header: list[str], rows) -> None:
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _cmd_simulate(args) -> int:
     g = _resolve_graph(args.graph)
-    c0 = _config(g, args.config)
+    c0 = _parse_int_list(args.config, "config")
     rows = trace(g, c0, args.steps)
     if args.format == "csv":
-        sys.stdout.write(_trace_csv(rows, g.n))
+        header = ["step"] + [f"v{i}" for i in range(g.n)]
+        _write_csv(header, ((step, *cfg) for step, cfg in enumerate(rows)))
     else:
         _emit_json(
             {
                 "graph": args.graph,
-                "config": list(c0),
+                "config": c0,
                 "steps": args.steps,
                 "trace": [list(r) for r in rows],
             }
@@ -84,9 +77,7 @@ def _cmd_perturb(args) -> int:
     h = _subset(g, args.subset)
     cfg = quiescence.perturb(g, h)
     if args.format == "csv":
-        header = ",".join(f"v{i}" for i in range(g.n))
-        row = ",".join(str(x) for x in cfg)
-        sys.stdout.write(f"{header}\n{row}\n")
+        _write_csv([f"v{i}" for i in range(g.n)], [cfg])
     else:
         _emit_json({"graph": args.graph, "subset": list(h.members), "config": list(cfg)})
     return 0
@@ -185,27 +176,9 @@ def _cmd_search(args) -> int:
 def _cmd_paths_table(args) -> int:
     rows = paths.path_table(args.n_max)
     if args.format == "csv":
-        lines = ["n,j_bruteforce,j_recurrence,j_fibonacci,pq2_bruteforce,pq2_closed"]
-        for r in rows:
-            lines.append(
-                f"{r.n},{r.j_bruteforce},{r.j_recurrence},{r.j_fibonacci},"
-                f"{r.pq2_bruteforce},{r.pq2_closed}"
-            )
-        sys.stdout.write("\n".join(lines) + "\n")
+        _write_csv([f.name for f in fields(paths.PathReportRow)], map(astuple, rows))
     else:
-        _emit_json(
-            [
-                {
-                    "n": r.n,
-                    "j_bruteforce": r.j_bruteforce,
-                    "j_recurrence": r.j_recurrence,
-                    "j_fibonacci": r.j_fibonacci,
-                    "pq2_bruteforce": r.pq2_bruteforce,
-                    "pq2_closed": r.pq2_closed,
-                }
-                for r in rows
-            ]
-        )
+        _emit_json([asdict(r) for r in rows])
     return 0
 
 
@@ -220,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--graph",
             required=True,
-            help="generator spec (path:N, cycle:N, complete:N, kbip:A,B, kpartite:A,B,...) "
-            "or an edge-list file ('n m' header, then 'u v' lines)",
+            help="an edge-list file ('n m' header, then 'u v' lines) or, when no such file "
+            "exists, a generator spec kind:args such as path:5 or kbip:2,3",
         )
 
     p = sub.add_parser("simulate", help="fire a configuration for a fixed number of steps")

@@ -55,8 +55,10 @@ class Orientation:
     def arrow(self, u: int, v: int) -> Arrow:
         """Arrow on edge {u, v}, normalized to the (min, max) key."""
         key = (u, v) if u < v else (v, u)
-        i = self.edges.index(key)
-        return self.arrows[i]
+        try:
+            return self.arrows[self.edges.index(key)]
+        except ValueError:
+            raise ValueError(f"({u}, {v}) is not an edge") from None
 
     def out_degree(self, v: int) -> int:
         d = 0
@@ -164,9 +166,9 @@ def is_zero_configuration(c: Sequence[int]) -> bool:
 
 def trace(g: Graph, c0: Sequence[int], t_max: int) -> list[Configuration]:
     """Configurations C_0..C_{t_max} under repeated firing."""
+    c = _as_config(g, c0)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
-    c = _as_config(g, c0)
     out = [c]
     for _ in range(t_max):
         c = fire(g, c)

@@ -55,10 +55,13 @@ class Graph:
         return (1 << self.n) - 1
 
     def degree(self, v: int) -> int:
+        _check_vertex(self, v)
         return self.nbr_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (self.nbr_masks[u] >> v) & 1 == 1
+        _check_vertex(self, u)
+        _check_vertex(self, v)
+        return (self.nbr_masks[u] >> v) & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -120,6 +123,11 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet(n={self.n}, members={list(self.members)})"
+
+
+def _check_vertex(g: Graph, v: int) -> None:
+    if not (0 <= v < g.n):
+        raise ValueError(f"vertex {v} outside [0, {g.n})")
 
 
 def _check_set(g: Graph, s: VertexSet) -> None:
@@ -259,8 +267,7 @@ def is_connected(g: Graph) -> bool:
 def degree_into(g: Graph, v: int, s: VertexSet) -> int:
     """Number of neighbours of v that lie in s."""
     _check_set(g, s)
-    if not (0 <= v < g.n):
-        raise ValueError(f"vertex {v} outside [0, {g.n})")
+    _check_vertex(g, v)
     return (g.nbr_masks[v] & s.mask).bit_count()
 
 

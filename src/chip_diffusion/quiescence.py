@@ -4,8 +4,9 @@ A perturbation of a subset H makes every H-vertex send one chip to each
 neighbour, wealth rules suspended; afterwards ordinary Diffusion resumes.
 Step numbering follows the perturbation convention: step 0 is the all-zero
 start, step 1 the post-perturbation configuration, and each later step one
-Diffusion firing. Every perturbation walk (is_zero_invoking, pq, and the
-census in enumeration) goes through _perturbation_walk.
+Diffusion firing. Every perturbation walk goes through _perturbation_walk:
+is_zero_invoking and pq, the step-2 check behind is_zero2_invoking, pq2 and
+paths.check_endpoint_lemma, and the census in enumeration.
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -25,7 +26,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .engine import DEFAULT_MAX_STEPS, PeriodReport, fire, is_zero_configuration
+from .engine import DEFAULT_MAX_STEPS, PeriodReport
 from .engine import _WALK_CAP, _WALK_ZERO, _walk
 from .graphs import Graph, VertexSet, _check_set
 
@@ -115,7 +116,9 @@ def is_zero2_invoking(g: Graph, h: VertexSet) -> bool:
 
 
 def _zero2_mask(g: Graph, mask: int) -> bool:
-    return is_zero_configuration(fire(g, _perturb_mask(g, mask)))
+    # A walk capped at step 2 fires at most once, from step 1 to step 2; a
+    # no-op perturbation ends at step 0, and zero stays zero.
+    return _perturbation_walk(g, mask, 2)[1] == _WALK_ZERO
 
 
 def is_zero_invoking(

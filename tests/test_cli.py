@@ -18,6 +18,15 @@ step,v0,v1,v2,v3,v4
 6,0,2,1,3,1
 """
 
+PATHS_TABLE_JSON = (
+    '[{"n": 1, "j_bruteforce": 2, "j_recurrence": 2, "j_fibonacci": 2, '
+    '"pq2_bruteforce": 1, "pq2_closed": 1}, '
+    '{"n": 2, "j_bruteforce": 4, "j_recurrence": 4, "j_fibonacci": 4, '
+    '"pq2_bruteforce": 1, "pq2_closed": 1}, '
+    '{"n": 3, "j_bruteforce": 4, "j_recurrence": 4, "j_fibonacci": 4, '
+    '"pq2_bruteforce": 1, "pq2_closed": 1}]\n'
+)
+
 PATHS_TABLE_CSV = """\
 n,j_bruteforce,j_recurrence,j_fibonacci,pq2_bruteforce,pq2_closed
 1,2,2,2,1,1
@@ -209,9 +218,10 @@ class TestPathsTable:
         assert result.stdout == PATHS_TABLE_CSV
 
     def test_json_rows(self):
-        payload = json.loads(run_cli("paths-table", "--n-max", "3").stdout)
-        assert [row["n"] for row in payload] == [1, 2, 3]
-        assert payload[2]["j_fibonacci"] == 4
+        # Byte golden: pins the key order as well as the values.
+        result = run_cli("paths-table", "--n-max", "3")
+        assert result.returncode == 0
+        assert result.stdout == PATHS_TABLE_JSON
 
 
 class TestGraphSources:
@@ -231,10 +241,26 @@ class TestGraphSources:
     def test_missing_file(self):
         result = run_cli("pq2", "--graph", "no-such-file.edges")
         assert result.returncode == 1
+        assert "No such file or directory" in result.stderr
 
     def test_bad_spec(self):
         result = run_cli("pq2", "--graph", "path:zero")
         assert result.returncode == 1
+
+    def test_unknown_spec_kind(self):
+        result = run_cli("pq2", "--graph", "grid:3")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: bad graph spec 'grid:3'\n"
+
+    @pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+    def test_file_name_with_colon_is_a_file(self, tmp_path, relative):
+        graph_file = tmp_path / "path:3"
+        graph_file.write_text("4 3\n0 1\n1 2\n2 3\n")
+        source = graph_file.name if relative else str(graph_file)
+        result = run_cli("pq2", "--graph", source, cwd=tmp_path)
+        assert result.returncode == 0
+        assert json.loads(result.stdout) == {"graph": source, "pq2": 2}
 
 
 class TestUsageErrors:

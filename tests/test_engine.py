@@ -179,6 +179,11 @@ class TestOrientation:
         assert r.arrow(1, 0) is Arrow.TO_HIGHER
         assert r.arrow(1, 2) is Arrow.TO_LOWER
 
+    def test_arrow_on_non_edge_names_the_pair(self):
+        r = induced_orientation(path(3), (2, 1, 5))
+        with pytest.raises(ValueError, match=r"\(2, 0\) is not an edge"):
+            r.arrow(2, 0)
+
     def test_degrees(self):
         r = induced_orientation(path(3), (2, 1, 5))
         assert r.out_degree(0) == 1 and r.in_degree(0) == 0

@@ -69,6 +69,16 @@ class TestConstruction:
             for v in range(g.n):
                 assert g.has_edge(u, v) == g.has_edge(v, u)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    @pytest.mark.parametrize(
+        "query",
+        [lambda g, v: g.degree(v), lambda g, v: g.has_edge(v, 1), lambda g, v: g.has_edge(0, v)],
+        ids=["degree", "has_edge-u", "has_edge-v"],
+    )
+    def test_vertex_outside_range_rejected(self, query, bad):
+        with pytest.raises(ValueError, match=rf"vertex {bad} outside \[0, 3\)"):
+            query(path(3), bad)
+
 
 class TestGenerators:
     def test_path(self):

@@ -155,6 +155,17 @@ class TestZero2:
         if is_efficient_dominating(g, h):
             assert is_ccd(g, h)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_small_graph_matches_naive_oracle(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for edge_mask in range(1 << len(pairs)):
+            chosen = [p for i, p in enumerate(pairs) if edge_mask >> i & 1]
+            g = Graph(n, chosen)
+            adj = naive.adjacency(n, chosen)
+            for h in all_subsets(g):
+                want = naive.zero2_invoking(adj, set(h))
+                assert is_zero2_invoking(g, h) == want, (edge_mask, h.mask)
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_minimal_dominating_on_paths_implies_ccd(self, n):
         g = path(n)
