@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
@@ -20,11 +21,12 @@ from .quiescence import UNKNOWN, ZeroStatus
 
 
 def _resolve_graph(source: str) -> Graph:
-    """An existing file is an edge list. Any other source containing ':' is a
-    generator spec for parse_graph_spec; anything else is read as a file, so a
-    missing path reports the missing file."""
+    """An existing file is an edge list. Any other source containing ':' and
+    no path separator (a spec kind never has one) is a generator spec for
+    parse_graph_spec; anything else is read as a file, so a missing path
+    reports the missing file."""
     file = Path(source)
-    if ":" in source and not file.is_file():
+    if ":" in source and "/" not in source and os.sep not in source and not file.is_file():
         return parse_graph_spec(source)
     return parse_edge_list(file.read_text())
 

@@ -2,19 +2,29 @@
 
 Subset spaces are walked as integer masks; graph spaces as edge masks over the
 C(n,2) vertex pairs in lexicographic order (bit i = i-th pair). Everything
-here is exact enumeration with no sampling. The one pruning rule, complement
-symmetry, cannot hide a witness or change a count:
+here is exact enumeration with no sampling. Two pruning rules cut the work;
+neither can hide a witness or change a count or a verdict.
+
+Complement symmetry:
   - the witness search: the perturbation of the complement V-H is the
     negation of the perturbation of H, and firing commutes with negation,
     fire(-c) = -fire(c). So the walks of H and V-H agree up to sign: same
     outcome, same first zero step, same cycle, same cap status.
   - the step-2 count: CCD is symmetric in H and V-H (its two edge conditions
     trade places), so H passes exactly when V-H does.
-"""
+
+Isomorphism, in the graph census: relabelling a graph by a permutation pi
+maps each subset H to pi(H), and the walk of H to the walk of pi(H) with
+its configurations relabelled. So the kind of verdict find_zero_not_zero2
+returns (NOT_FOUND, INCONCLUSIVE or a witness) is the same for isomorphic
+graphs, for every max_steps; complement halving keeps this, since H and V-H
+share an outcome. Only which witness comes first in mask order depends on
+the labelling. So the census decides NOT_FOUND and INCONCLUSIVE once per
+isomorphism class in each chunk (canonical_edge_mask), and scans every
+witness graph for its own first witness."""
 
 from __future__ import annotations
 
-import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -24,7 +34,7 @@ from typing import Callable, Iterator
 
 from .engine import _WALK_CAP, _WALK_ZERO, DEFAULT_MAX_STEPS
 from .graphs import Graph, VertexSet, _dominating_mask, is_connected
-from .quiescence import _ccd_mask, _check_enumerable, _perturbation_walk, _zero2_mask
+from .quiescence import _ccd_mask, _check_enumerable, _perturbation_walk
 from .quiescence import subsets_of_size
 
 # 2^26 subsets is roughly a coffee break in pure Python; beyond that the scan
@@ -119,9 +129,11 @@ def find_zero_not_zero2(
             capped = True
         elif kind == _WALK_ZERO and t >= 3:
             # Zero first recurs after step 2, so the step-2 configuration is
-            # nonzero; re-check dynamically anyway before reporting.
-            if _zero2_mask(g, mask):
-                raise AssertionError("zero at step 2 contradicts first zero at step >= 3")
+            # nonzero. Re-check before reporting with the structural CCD test,
+            # which holds exactly when step 2 is zero and shares no code with
+            # the walk.
+            if _ccd_mask(g, mask):
+                raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
             return SearchWitness(
                 graph=g,
                 subset=VertexSet(g.n, mask),
@@ -163,21 +175,84 @@ def all_graphs(n: int, connected_only: bool = False) -> Iterator[tuple[int, Grap
 
 
 def canonical_edge_mask(g: Graph) -> int:
-    """Least edge mask over all relabelings: a canonical form for isomorphism
-    filtering. Cost grows as n!, intended for n <= 7."""
-    if g.n > 7:
-        raise ValueError(f"canonical form is factorial-time, refusing n={g.n} > 7")
-    pairs = all_edge_pairs(g.n)
-    index = {p: i for i, p in enumerate(pairs)}
+    """A canonical form: equal for two graphs exactly when they are isomorphic.
+
+    Colour refinement plus backtracking, the idea behind nauty (McKay &
+    Piperno, "Practical graph isomorphism II", 2014). An ordered partition of
+    the vertices is refined until each cell is uniform in its vertices'
+    neighbour counts into every cell (_refine); then each vertex of the first
+    non-singleton cell is in turn split off into a cell of its own, and the
+    result refined again, down to partitions into singletons. Every step
+    depends only on the graph and the order of the cells, never on the labels,
+    so relabelling the graph relabels the whole search tree. Each leaf orders
+    the vertices; the result is the least edge mask of the graph relabelled by
+    a leaf's order, so isomorphic graphs get the same least mask, and the mask
+    is that of a graph isomorphic to g.
+
+    One pruning rule: of two twins u, v in the cell being split (N(u) - v ==
+    N(v) - u), only the first is split off. Swapping twins is an automorphism
+    that fixes every vertex already split off, hence the current partition, so
+    it maps the subtree under u onto the subtree under v, with the same
+    relabelled graphs at its leaves.
+    Without it, edgeless and complete graphs would have n! leaves.
+    """
+    n, nbrs = g.n, g.nbr_masks
     best = None
-    for perm in itertools.permutations(range(g.n)):
-        m = 0
-        for u, v in g.edges:
-            a, b = perm[u], perm[v]
-            m |= 1 << index[(a, b) if a < b else (b, a)]
-        if best is None or m < best:
-            best = m
-    return best if best is not None else 0
+    stack = [_refine(nbrs, [g.full_mask] if n else [])]
+    while stack:
+        cells = stack.pop()
+        for i, target in enumerate(cells):
+            if target & (target - 1):
+                break
+        else:
+            pos = [0] * n
+            for i, cell in enumerate(cells):
+                pos[cell.bit_length() - 1] = i
+            m = 0
+            for u, v in g.edges:
+                a, b = pos[u], pos[v]
+                if a > b:
+                    a, b = b, a
+                m |= 1 << (a * (2 * n - a - 3) // 2 + b - 1)  # index of (a, b) in all_edge_pairs
+            if best is None or m < best:
+                best = m
+            continue
+        head, tail = cells[:i], cells[i + 1:]
+        tried = []
+        rest = target
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            if any(not (nbrs[u] ^ nbrs[v]) & ~(1 << u | bit) for u in tried):
+                continue
+            tried.append(v)
+            stack.append(_refine(nbrs, head + [bit, target ^ bit] + tail))
+    return best
+
+
+def _refine(nbrs: tuple[int, ...], cells: list[int]) -> list[int]:
+    """Split the cells (vertex bitmasks, in order) until every vertex of a
+    cell has the same number of neighbours in each cell. A cell that splits
+    is replaced by its parts in ascending order of those counts."""
+    while True:
+        split = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                nb = nbrs[bit.bit_length() - 1]
+                key = tuple([(nb & c).bit_count() for c in cells])
+                parts[key] = parts.get(key, 0) | bit
+            split += [parts[k] for k in sorted(parts)]
+        if len(split) == len(cells):
+            return cells
+        cells = split
 
 
 def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tuple[int, int, int]:
@@ -211,11 +286,22 @@ def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tupl
 def _scan_chunk(args: tuple) -> list[tuple[int, SearchWitness | None]]:
     """Search edge masks [start, stop): one (edge_mask, witness) event per
     witness graph and one (edge_mask, None) per inconclusive graph, in mask
-    order."""
+    order.
+
+    find_zero_not_zero2 runs once per isomorphism class met in the chunk
+    (module docstring): a NOT_FOUND or INCONCLUSIVE verdict is reused for the
+    class's later graphs. A witness is never reused, so every witness graph is
+    scanned and reports its own first witness subset."""
     n, start, stop, connected_only, max_steps = args
     events = []
+    verdicts: dict[int, SearchStatus] = {}  # canonical edge mask -> verdict
     for mask, g in _labelled_graphs(n, start, stop, connected_only):
-        res = find_zero_not_zero2(g, max_steps)
+        key = canonical_edge_mask(g)
+        res = verdicts.get(key)
+        if res is None:
+            res = find_zero_not_zero2(g, max_steps)
+            if not isinstance(res, SearchWitness):
+                verdicts[key] = res
         if isinstance(res, SearchWitness):
             events.append((mask, res))
         elif res is SearchStatus.INCONCLUSIVE:

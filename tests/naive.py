@@ -3,6 +3,8 @@ independent oracle: no bitmasks, no shared code with the package."""
 
 from __future__ import annotations
 
+import itertools
+
 
 def adjacency(n, edge_pairs):
     adj = {v: set() for v in range(n)}
@@ -101,3 +103,12 @@ def components(adj, subset):
         left -= piece
         out.append(piece)
     return out
+
+
+def canonical_form(n, edge_pairs):
+    """The least sorted edge list over all n! relabellings: equal for two
+    graphs exactly when they are isomorphic."""
+    return min(
+        tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edge_pairs))
+        for perm in itertools.permutations(range(n))
+    )

@@ -243,6 +243,14 @@ class TestGraphSources:
         assert result.returncode == 1
         assert "No such file or directory" in result.stderr
 
+    @pytest.mark.parametrize("source", ["data/run:1.edges", "C:/graphs/g.edges"])
+    def test_missing_path_with_colon_is_a_file(self, tmp_path, source):
+        # A spec kind never contains a path separator, so this is a file.
+        result = run_cli("pq2", "--graph", source, cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert "No such file or directory" in result.stderr
+
     def test_bad_spec(self):
         result = run_cli("pq2", "--graph", "path:zero")
         assert result.returncode == 1

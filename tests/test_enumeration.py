@@ -4,6 +4,7 @@ import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chip_diffusion import (
     DEFAULT_MAX_STEPS,
@@ -14,6 +15,7 @@ from chip_diffusion import (
     all_graphs,
     complete,
     count_zero2_subsets,
+    cycle,
     domination_number,
     find_zero_not_zero2,
     graph_from_edge_mask,
@@ -23,9 +25,11 @@ from chip_diffusion import (
     path,
     search_all_graphs,
 )
-from chip_diffusion import cli, enumeration
+from chip_diffusion import cli, enumeration, quiescence
+from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
 from chip_diffusion.enumeration import (
     SearchProgress,
+    _scan_chunk,
     all_edge_pairs,
     canonical_edge_mask,
 )
@@ -164,6 +168,25 @@ class TestFindZeroNotZero2:
     def test_inconclusive_under_tiny_cap(self):
         assert find_zero_not_zero2(path(4), max_steps=1) is SearchStatus.INCONCLUSIVE
 
+    def test_witness_recheck_does_not_trust_the_walker(self, monkeypatch):
+        # {1} on P3 is CCD (no edge lies inside H or V-H), so it is zero at
+        # step 2. A walker that claims a first zero at step 3 for it, and a
+        # cap for any shorter walk, must trip the re-check.
+        real = quiescence._perturbation_walk
+
+        def lying_walk(g, mask, max_steps):
+            if mask != 0b010:
+                return real(g, mask, max_steps)
+            if max_steps < 3:
+                return max_steps, _WALK_CAP, None, None
+            return 3, _WALK_ZERO, None, (0, 0, 0)
+
+        assert _ccd_mask(path(3), 0b010)
+        monkeypatch.setattr(quiescence, "_perturbation_walk", lying_walk)
+        monkeypatch.setattr(enumeration, "_perturbation_walk", lying_walk)
+        with pytest.raises(AssertionError, match="CCD"):
+            find_zero_not_zero2(path(3))
+
     @given(graphs(max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_any_witness_reverifies(self, g):
@@ -219,6 +242,43 @@ class TestComplementPruning:
             assert got == oracle_find(n, edge_mask, cap), edge_mask
 
 
+class TestIsomorphismCache:
+    """_scan_chunk decides NOT_FOUND and INCONCLUSIVE once per isomorphism
+    class in a chunk; exact because the kind of verdict is an isomorphism
+    invariant (enumeration docstring)."""
+
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("cap", ORACLE_CAPS)
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_cached_scan_matches_per_graph_loop(self, n, cap, connected_only):
+        want = []
+        for mask, g in all_graphs(n, connected_only):
+            res = find_zero_not_zero2(g, cap)
+            if isinstance(res, SearchWitness):
+                want.append((mask, res))
+            elif res is SearchStatus.INCONCLUSIVE:
+                want.append((mask, None))
+        total = 1 << (n * (n - 1) // 2)
+        assert _scan_chunk((n, 0, total, connected_only, cap)) == want
+
+    def test_one_search_per_class_in_a_chunk(self, monkeypatch):
+        calls = []
+
+        def counting_find(g, max_steps):
+            calls.append(g)
+            return find_zero_not_zero2(g, max_steps)
+
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", counting_find)
+        _scan_chunk((5, 0, 1024, True, DEFAULT_MAX_STEPS))
+        assert len(calls) == 21  # connected classes at n = 5 (OEIS A001349)
+        _scan_chunk((5, 0, 512, False, DEFAULT_MAX_STEPS))
+        _scan_chunk((5, 512, 1024, False, DEFAULT_MAX_STEPS))
+        # The cache lives for one chunk. Each half meets 33 of the 34 classes:
+        # the first lacks K5 (pair (3, 4) is not in it), the second has no
+        # edgeless graph.
+        assert len(calls) == 21 + 33 + 33
+
+
 class TestGraphCensus:
     def test_edge_pair_order(self):
         assert all_edge_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -246,6 +306,49 @@ class TestGraphCensus:
         relabelled = Graph(4, [(3, 2), (2, 0), (0, 1)])
         assert canonical_edge_mask(g) == canonical_edge_mask(relabelled)
         assert canonical_edge_mask(g) != canonical_edge_mask(complete(4))
+
+
+# Unlabelled graphs (OEIS A000088) and connected ones (A001349), n = 0..6.
+GRAPH_CLASSES = (1, 1, 2, 4, 11, 34, 156)
+CONNECTED_CLASSES = (1, 1, 1, 2, 6, 21, 112)
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n", range(6))
+    def test_classes_match_naive_oracle(self, n):
+        # Both forms split the labelled graphs into the same classes: the pairs
+        # (refined form, n! form) are as many as either form's distinct values.
+        pairs = {
+            (canonical_edge_mask(g), naive.canonical_form(n, g.edges)) for _, g in all_graphs(n)
+        }
+        assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_class_counts_match_oeis(self, n):
+        classes = {canonical_edge_mask(g) for _, g in all_graphs(n)}
+        connected = {canonical_edge_mask(g) for _, g in all_graphs(n, connected_only=True)}
+        assert (len(classes), len(connected)) == (GRAPH_CLASSES[n], CONNECTED_CLASSES[n])
+
+    def test_tries_every_vertex_of_a_tied_cell(self):
+        # C3 + C4 is 2-regular, so refinement leaves all seven vertices in one
+        # cell, though they lie in two orbits: the form must split off a
+        # triangle vertex and a square vertex alike.
+        triangle_first = Graph(7, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+        square_first = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (4, 6)])
+        assert canonical_edge_mask(triangle_first) == canonical_edge_mask(square_first)
+        assert canonical_edge_mask(triangle_first) != canonical_edge_mask(cycle(7))
+
+    @given(graphs(max_n=9), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_under_random_relabelling(self, g, rnd):
+        perm = list(range(g.n))
+        rnd.shuffle(perm)
+        relabelled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        form = canonical_edge_mask(g)
+        assert canonical_edge_mask(relabelled) == form
+        # The form is the edge mask of a relabelling of g, so it is its own form.
+        assert canonical_edge_mask(graph_from_edge_mask(g.n, form)) == form
+        assert bin(form).count("1") == g.m
 
 
 class _Interrupt(Exception):
@@ -452,7 +555,7 @@ class TestSearchAllGraphs:
         # fake the per-graph search to exercise emission and ordering.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         got = list(search_all_graphs(3))
-        assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 7)]
+        assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 5), (4, 6)]
 
     def test_witness_through_worker_pool(self, monkeypatch):
         # Four chunks of two edge masks, so the fabricated witnesses, each
@@ -465,23 +568,23 @@ class TestSearchAllGraphs:
             found = list(search_all_graphs(3, reporter=events.append, workers=workers))
             runs.append((found, events[-1]))
         (seq, seq_end), (par, par_end) = runs
-        assert [(w.subset.mask, w.zero_step) for w in seq] == [(1, 4), (2, 7)]
+        assert [(w.subset.mask, w.zero_step) for w in seq] == [(1, 4), (2, 5), (4, 6)]
         assert par == seq
         assert [w.graph.nbr_masks for w in par] == [w.graph.nbr_masks for w in seq]
-        assert par_end == seq_end == SearchProgress(3, 8, 8, 2, 2)
+        assert par_end == seq_end == SearchProgress(3, 8, 8, 3, 3)
 
     def test_witness_mid_chunk_close_and_resume(self, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         events = []
         full = list(search_all_graphs(3, reporter=events.append))
         want = events[-1]
-        assert (want.witnesses, want.inconclusive) == (2, 2)
+        assert (want.witnesses, want.inconclusive) == (3, 3)
 
         ckpt = tmp_path / "scan.ckpt"
         stream = search_all_graphs(3, checkpoint=ckpt)
         partial = [next(stream)]
         stream.close()
-        assert ckpt.read_text() == f"search 3 {DEFAULT_MAX_STEPS} 0 1 1\n3 5\n"
+        assert ckpt.read_text() == f"search 3 {DEFAULT_MAX_STEPS} 0 1 2\n3 3\n"
 
         events = []
         resumed = list(search_all_graphs(3, reporter=events.append, checkpoint=ckpt, resume=True))
@@ -490,11 +593,13 @@ class TestSearchAllGraphs:
 
 
 def _fake_find(g, max_steps=0):
-    """find_zero_not_zero2 with fabricated witnesses at edge masks 5 and 6 of
-    n = 3, and inconclusive graphs at masks 2 and 7."""
-    mask = sum(1 << i for i, p in enumerate(all_edge_pairs(g.n)) if p in g.edges)
-    fake_hits = {5: (1, 4, "fabricated"), 6: (2, 7, "fabricated")}
-    if mask in fake_hits:
-        smask, step, note = fake_hits[mask]
-        return SearchWitness(g, VertexSet(g.n, smask), step, note)
-    return SearchStatus.INCONCLUSIVE if mask in (2, 7) else SearchStatus.NOT_FOUND
+    """find_zero_not_zero2 with fabricated verdicts that, like the real ones,
+    depend only on the isomorphism class: a witness on every graph with two
+    edges, INCONCLUSIVE on every graph with one. The witness subset is the
+    vertex of highest degree, so it depends on the labels, as a real first
+    witness may. At n = 3 the witnesses are the paths at edge masks 3, 5 and 6
+    (centres 0, 1 and 2) and the inconclusive graphs are masks 1, 2 and 4."""
+    if g.m == 2:
+        centre = max(range(g.n), key=g.degree)
+        return SearchWitness(g, VertexSet(g.n, 1 << centre), 4 + centre, "fabricated")
+    return SearchStatus.INCONCLUSIVE if g.m == 1 else SearchStatus.NOT_FOUND
