@@ -19,9 +19,8 @@ its configurations relabelled. So the kind of verdict find_zero_not_zero2
 returns (NOT_FOUND, INCONCLUSIVE or a witness) is the same for isomorphic
 graphs, for every max_steps; complement halving keeps this, since H and V-H
 share an outcome. Only which witness comes first in mask order depends on
-the labelling. So the census decides NOT_FOUND and INCONCLUSIVE once per
-isomorphism class in each chunk (canonical_edge_mask), and scans every
-witness graph for its own first witness."""
+the labelling. So the census decides each isomorphism class once per search
+(canonical_edge_mask) and rescans each witness graph for its own first witness."""
 
 from __future__ import annotations
 
@@ -84,15 +83,19 @@ def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
 
     include_trivial=False drops the empty set and the full vertex set.
     """
-    if g.n > EXHAUSTIVE_COUNT_LIMIT:
-        raise ValueError(
-            f"exhaustive count supports up to {EXHAUSTIVE_COUNT_LIMIT} vertices, got {g.n}"
-        )
+    _check_countable(g.n)
     half = (1 << g.n) >> 1
     count = 2 * sum(1 for h in range(half) if _ccd_mask(g, h)) if g.n else 1
     if not include_trivial:
         count -= len({0, g.full_mask})
     return count
+
+
+def _check_countable(n: int) -> None:
+    if n > EXHAUSTIVE_COUNT_LIMIT:
+        raise ValueError(
+            f"exhaustive count supports up to {EXHAUSTIVE_COUNT_LIMIT} vertices, got {n}"
+        )
 
 
 def domination_number(g: Graph) -> int:
@@ -280,33 +283,19 @@ def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tupl
         )
     if last >= total:
         raise ValueError(f"checkpoint {path}: edge mask {last} is out of range")
+    if witnesses + inconclusive > last + 1:
+        raise ValueError(f"checkpoint {path}: counts exceed the {last + 1} edge masks covered")
     return last + 1, witnesses, inconclusive
 
 
-def _scan_chunk(args: tuple) -> list[tuple[int, SearchWitness | None]]:
-    """Search edge masks [start, stop): one (edge_mask, witness) event per
-    witness graph and one (edge_mask, None) per inconclusive graph, in mask
-    order.
-
-    find_zero_not_zero2 runs once per isomorphism class met in the chunk
-    (module docstring): a NOT_FOUND or INCONCLUSIVE verdict is reused for the
-    class's later graphs. A witness is never reused, so every witness graph is
-    scanned and reports its own first witness subset."""
-    n, start, stop, connected_only, max_steps = args
-    events = []
-    verdicts: dict[int, SearchStatus] = {}  # canonical edge mask -> verdict
+def _scan_chunk(args: tuple) -> list[int | None]:
+    """The canonical edge mask of each labelled graph with edge mask in
+    [start, stop), in mask order; None where connected_only leaves it out."""
+    n, start, stop, connected_only = args
+    keys: list[int | None] = [None] * (stop - start)
     for mask, g in _labelled_graphs(n, start, stop, connected_only):
-        key = canonical_edge_mask(g)
-        res = verdicts.get(key)
-        if res is None:
-            res = find_zero_not_zero2(g, max_steps)
-            if not isinstance(res, SearchWitness):
-                verdicts[key] = res
-        if isinstance(res, SearchWitness):
-            events.append((mask, res))
-        elif res is SearchStatus.INCONCLUSIVE:
-            events.append((mask, None))
-    return events
+        keys[mask - start] = canonical_edge_mask(g)
+    return keys
 
 
 def search_all_graphs(
@@ -320,7 +309,10 @@ def search_all_graphs(
     workers: int = 1,
 ) -> Iterator[SearchWitness]:
     """Run find_zero_not_zero2 over every labelled graph on n vertices,
-    yielding witnesses in ascending edge-mask order.
+    yielding witnesses in ascending edge-mask order. Workers only label the
+    graphs (_scan_chunk); this loop decides each isomorphism class once per
+    search, whatever the chunk size and worker count (module docstring).
+    Closing early lets running chunks finish: no worker is killed mid-send.
 
     The checkpoint holds one record, atomically replaced after every chunk and
     when the generator closes: "search n max_steps connected_only witnesses
@@ -362,25 +354,29 @@ def search_all_graphs(
         os.replace(tmp, ckpt_path)
 
     bounds = [(s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)]
-    args = [(n, s, e, connected_only, max_steps) for s, e in bounds]
+    args = [(n, s, e, connected_only) for s, e in bounds]
     procs = min(workers, len(args))  # never more processes than chunks
     pool = None
     try:
         if procs > 1:
-            import multiprocessing
+            import concurrent.futures
 
-            pool = multiprocessing.Pool(procs)
-            results = pool.imap(_scan_chunk, args)
+            pool = concurrent.futures.ProcessPoolExecutor(procs)
+            results = pool.map(_scan_chunk, args)
         else:
             results = map(_scan_chunk, args)
-        for (_, e), events in zip(bounds, results):
-            for mask, witness in events:
-                if witness is None:
+        verdicts = {None: SearchStatus.NOT_FOUND}  # canonical mask -> verdict; None: left out
+        for (s, e), keys in zip(bounds, results):
+            for mask, key in enumerate(keys, s):
+                if key not in verdicts:
+                    verdicts[key] = find_zero_not_zero2(graph_from_edge_mask(n, key), max_steps)
+                res = verdicts[key]
+                if res is SearchStatus.INCONCLUSIVE:
                     inconclusive += 1
-                    continue
-                witnesses += 1
-                done = mask + 1
-                yield witness
+                elif isinstance(res, SearchWitness):
+                    witnesses += 1
+                    done = mask + 1
+                    yield find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
             done = e
             if ckpt_path is not None:
                 save()
@@ -391,7 +387,6 @@ def search_all_graphs(
             reporter(SearchProgress(n, done, total, witnesses, inconclusive))
     finally:
         if pool is not None:
-            pool.terminate()
-            pool.join()
+            pool.shutdown(cancel_futures=True)
         if ckpt_path is not None and done != saved:
             save()

@@ -31,15 +31,8 @@ class Graph:
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        seen = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n) or not (0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-            seen.add((u, v) if u < v else (v, u))
         self.n = n
-        self.edges = tuple(sorted(seen))
+        self.edges = tuple(sorted({_checked_edge(n, u, v) for u, v in pairs}))
         masks = [0] * n
         for u, v in self.edges:
             masks[u] |= 1 << v
@@ -125,6 +118,14 @@ class VertexSet:
         return f"VertexSet(n={self.n}, members={list(self.members)})"
 
 
+def _checked_edge(n: int, u: int, v: int) -> tuple[int, int]:
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    if not (0 <= u < n) or not (0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
+    return (u, v) if u < v else (v, u)
+
+
 def _check_vertex(g: Graph, v: int) -> None:
     if not (0 <= v < g.n):
         raise ValueError(f"vertex {v} outside [0, {g.n})")
@@ -159,7 +160,7 @@ def parse_edge_list(text: str) -> Graph:
         raise EdgeListParseError(
             body[-1][0], f"header promises {m} edges but {len(body) - 1} edge lines found"
         )
-    pairs = []
+    edges = set()
     for no, line in body[1:]:
         parts = line.split()
         if len(parts) != 2:
@@ -168,12 +169,14 @@ def parse_edge_list(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise EdgeListParseError(no, f"expected integer endpoints, got {line!r}") from None
-        if u == v:
-            raise EdgeListParseError(no, f"self-loop at vertex {u}")
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise EdgeListParseError(no, f"edge ({u}, {v}) has an endpoint outside [0, {n})")
-        pairs.append((u, v))
-    return Graph(n, pairs)
+        try:
+            edge = _checked_edge(n, u, v)
+        except ValueError as e:
+            raise EdgeListParseError(no, str(e)) from None
+        if edge in edges:
+            raise EdgeListParseError(no, f"edge ({u}, {v}) is listed twice")
+        edges.add(edge)
+    return Graph(n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import count_zero2_subsets
+from .enumeration import _check_countable, count_zero2_subsets
 from .graphs import path
 from .quiescence import _zero2_mask, pq2
 
@@ -88,6 +88,7 @@ def path_table(n_max: int) -> list[PathReportRow]:
     hard failure, not a warning.
     """
     _require_positive(n_max)
+    _check_countable(n_max)
     rows = []
     for n in range(1, n_max + 1):
         row = PathReportRow(

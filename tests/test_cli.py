@@ -190,8 +190,9 @@ class TestSearch:
     @pytest.mark.parametrize(
         "text",
         ["search 4 50 0 0 0\n4 10\n", "search 3 2 0 0 0\n3 5\n", "search 3 50 1 0 0\n3 5\n",
-         "3 5\n", "search 3 50 0 0\n3 5\n"],
-        ids=["other-n", "other-max-steps", "connected-only", "old-log", "garbled"],
+         "3 5\n", "search 3 50 0 0\n3 5\n", "search 3 10000 0 99 99\n3 3\n"],
+        ids=["other-n", "other-max-steps", "connected-only", "old-log", "garbled",
+             "counts-beyond-masks"],
     )
     def test_resume_refuses_foreign_checkpoint(self, tmp_path, text):
         ckpt = tmp_path / "scan.ckpt"

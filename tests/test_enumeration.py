@@ -1,4 +1,6 @@
+import concurrent.futures
 import functools
+import itertools
 import multiprocessing
 import re
 
@@ -29,7 +31,6 @@ from chip_diffusion import cli, enumeration, quiescence
 from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
 from chip_diffusion.enumeration import (
     SearchProgress,
-    _scan_chunk,
     all_edge_pairs,
     canonical_edge_mask,
 )
@@ -243,40 +244,49 @@ class TestComplementPruning:
 
 
 class TestIsomorphismCache:
-    """_scan_chunk decides NOT_FOUND and INCONCLUSIVE once per isomorphism
-    class in a chunk; exact because the kind of verdict is an isomorphism
-    invariant (enumeration docstring)."""
+    """search_all_graphs decides each isomorphism class once per search;
+    exact because the kind of verdict is an isomorphism invariant
+    (enumeration docstring)."""
 
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("cap", ORACLE_CAPS)
     @pytest.mark.parametrize("connected_only", [False, True])
-    def test_cached_scan_matches_per_graph_loop(self, n, cap, connected_only):
-        want = []
+    def test_cached_scan_matches_per_graph_loop(self, monkeypatch, n, cap, connected_only):
+        # One edge mask per chunk, so the reporter sees the counts after every mask.
+        monkeypatch.setattr(enumeration, "_CHUNK", 1)
+        total = 1 << (n * (n - 1) // 2)
+        want, found, undecided = [], [0] * total, [0] * total
         for mask, g in all_graphs(n, connected_only):
             res = find_zero_not_zero2(g, cap)
             if isinstance(res, SearchWitness):
-                want.append((mask, res))
+                want.append(res)
+                found[mask] = 1
             elif res is SearchStatus.INCONCLUSIVE:
-                want.append((mask, None))
-        total = 1 << (n * (n - 1) // 2)
-        assert _scan_chunk((n, 0, total, connected_only, cap)) == want
+                undecided[mask] = 1
+        events = []
+        got = list(search_all_graphs(n, cap, events.append, connected_only=connected_only))
+        assert got == want
+        assert [p.witnesses for p in events] == list(itertools.accumulate(found))
+        assert [p.inconclusive for p in events] == list(itertools.accumulate(undecided))
 
-    def test_one_search_per_class_in_a_chunk(self, monkeypatch):
+    def test_one_search_per_class_per_search(self, monkeypatch):
+        # The searches run in the driver, so the stub also sees them when a
+        # real pool of two workers labels the chunks.
         calls = []
 
         def counting_find(g, max_steps):
-            calls.append(g)
+            calls.append(canonical_edge_mask(g))
             return find_zero_not_zero2(g, max_steps)
 
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", counting_find)
-        _scan_chunk((5, 0, 1024, True, DEFAULT_MAX_STEPS))
-        assert len(calls) == 21  # connected classes at n = 5 (OEIS A001349)
-        _scan_chunk((5, 0, 512, False, DEFAULT_MAX_STEPS))
-        _scan_chunk((5, 512, 1024, False, DEFAULT_MAX_STEPS))
-        # The cache lives for one chunk. Each half meets 33 of the 34 classes:
-        # the first lacks K5 (pair (3, 4) is not in it), the second has no
-        # edgeless graph.
-        assert len(calls) == 21 + 33 + 33
+        list(search_all_graphs(5, connected_only=True))
+        assert len(calls) == len(set(calls)) == 21  # connected classes at n = 5 (OEIS A001349)
+        for chunk in (4096, 128):
+            monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+            for workers in (1, 2):
+                calls.clear()
+                list(search_all_graphs(5, workers=workers))
+                assert len(calls) == len(set(calls)) == 34, (chunk, workers)  # OEIS A000088
 
 
 class TestGraphCensus:
@@ -452,6 +462,7 @@ class TestSearchAllGraphs:
             "search 4 50 0 0 0\n4 3",  # torn: no final newline
             "search 4 50 0 0 0\n5 3\n",
             "search 4 50 0 0 0\n4 64\n",  # beyond the last edge mask
+            "search 4 50 0 99 99\n4 3\n",  # more graphs counted than masks covered
             "",
         ]:
             ckpt.write_text(text)
@@ -491,19 +502,16 @@ class TestSearchAllGraphs:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, processes):
-                sizes.append(processes)
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
 
-            def imap(self, func, iterable):
+            def map(self, func, iterable):
                 return map(func, iterable)
 
-            def terminate(self):
+            def shutdown(self, cancel_futures):
                 pass
 
-            def join(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         events = []
         got = list(search_all_graphs(5, reporter=events.append, workers=workers))
@@ -550,6 +558,22 @@ class TestSearchAllGraphs:
             assert cli.main([*argv, "--checkpoint", str(copy), "--resume"]) == 1
             assert capsys.readouterr() == ("", want_err)
 
+    def test_close_lets_workers_exit(self, monkeypatch):
+        # Closing mid-scan waits for the workers to exit rather than killing
+        # them: a worker killed while sending a chunk can leave the result
+        # queue's lock held, and the close then blocks for good.
+        monkeypatch.setattr(enumeration, "_CHUNK", 16)
+        workers = []
+
+        def stop(p: SearchProgress):
+            workers.extend(multiprocessing.active_children())
+            raise _Interrupt
+
+        with pytest.raises(_Interrupt):
+            list(search_all_graphs(5, 2, stop, workers=4))
+        assert len(workers) == 4
+        assert [w.exitcode for w in workers] == [0] * 4
+
     def test_witness_pipeline(self, monkeypatch):
         # No real witness is known (that existence is the open question), so
         # fake the per-graph search to exercise emission and ordering.
@@ -558,8 +582,9 @@ class TestSearchAllGraphs:
         assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 5), (4, 6)]
 
     def test_witness_through_worker_pool(self, monkeypatch):
-        # Four chunks of two edge masks, so the fabricated witnesses, each
-        # holding a Graph, come back pickled from two real worker processes.
+        # Four chunks of two edge masks, so two real worker processes label
+        # the graphs while the driver searches them; the fabricated witnesses
+        # equal the serial run's.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         monkeypatch.setattr(enumeration, "_CHUNK", 2)
         runs = []

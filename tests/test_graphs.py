@@ -149,6 +149,7 @@ class TestEdgeListFormat:
             ("2 1\n0 5\n", 2),
             ("2 2\n0 1\n", 2),
             ("2 1\n0 1\n1 0\n", 3),
+            ("2 2\n0 1\n1 0\n", 3),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):

@@ -11,6 +11,7 @@ from chip_diffusion import (
     pq2,
     pq2_path_closed,
 )
+from chip_diffusion import paths
 
 
 class TestClosedForms:
@@ -76,3 +77,11 @@ class TestPathTable:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             path_table(0)
+
+    def test_uncountable_order_refused_before_any_row(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            pytest.fail("path_table computed a row before refusing n_max")
+
+        monkeypatch.setattr(paths, "count_zero2_subsets", no_rows)
+        with pytest.raises(ValueError, match="up to 26 vertices, got 27"):
+            path_table(27)
