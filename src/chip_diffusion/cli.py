@@ -13,22 +13,30 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 from pathlib import Path
+from typing import Callable
 
 from . import enumeration, paths, quiescence
 from .engine import trace
-from .graphs import Graph, VertexSet, parse_edge_list, parse_graph_spec
+from .graphs import Graph, VertexSet, _read_edge_list, parse_graph_spec
 from .quiescence import UNKNOWN, ZeroStatus
 
 
-def _resolve_graph(source: str) -> Graph:
+def _resolve_graph(source: str, check_order: Callable[[int], None] | None = None) -> Graph:
     """An existing file is an edge list. Any other source containing ':' and
     no path separator (a spec kind never has one) is a generator spec for
     parse_graph_spec; anything else is read as a file, so a missing path
-    reports the missing file."""
+    reports the missing file.
+
+    check_order is the command's own order limit. It sees an edge list's n
+    after the text is checked and before the Graph is built, so an oversized
+    header fails without allocating n-long neighbour tables."""
     file = Path(source)
     if ":" in source and "/" not in source and os.sep not in source and not file.is_file():
         return parse_graph_spec(source)
-    return parse_edge_list(file.read_text())
+    n, edges = _read_edge_list(file.read_text())
+    if check_order is not None:
+        check_order(n)
+    return Graph(n, edges)
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -110,7 +118,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    g = _resolve_graph(args.graph)
+    g = _resolve_graph(args.graph, enumeration._check_countable)
     include = not args.exclude_trivial
     n = enumeration.count_zero2_subsets(g, include_trivial=include)
     _emit_json({"graph": args.graph, "include_trivial": include, "count": n})
@@ -118,13 +126,13 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_pq2(args) -> int:
-    g = _resolve_graph(args.graph)
+    g = _resolve_graph(args.graph, quiescence._check_enumerable)
     _emit_json({"graph": args.graph, "pq2": quiescence.pq2(g)})
     return 0
 
 
 def _cmd_pq(args) -> int:
-    g = _resolve_graph(args.graph)
+    g = _resolve_graph(args.graph, quiescence._check_enumerable)
     result = quiescence.pq(g, args.max_steps)
     if result is UNKNOWN:
         _emit_json({"graph": args.graph, "pq": None, "status": "unknown"})

@@ -141,6 +141,12 @@ def parse_edge_list(text: str) -> Graph:
 
     Indices are 0-based. Errors carry the offending 1-based line number.
     """
+    return Graph(*_read_edge_list(text))
+
+
+def _read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
+    """The order and the checked edges of edge-list text, without building
+    the Graph: nothing here grows with the header's n."""
     lines = text.splitlines()
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines)]
     body = [(no, line) for no, line in rows if line]
@@ -176,7 +182,7 @@ def parse_edge_list(text: str) -> Graph:
         if edge in edges:
             raise EdgeListParseError(no, f"edge ({u}, {v}) is listed twice")
         edges.add(edge)
-    return Graph(n, edges)
+    return n, edges
 
 
 def format_edge_list(g: Graph) -> str:

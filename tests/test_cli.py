@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from chip_diffusion import cli, graphs
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 P5_TRACE_CSV = """\
@@ -231,6 +233,38 @@ class TestGraphSources:
         graph_file.write_text("4 3\n0 1\n1 2\n2 3\n")
         payload = json.loads(run_cli("pq2", "--graph", str(graph_file)).stdout)
         assert payload["pq2"] == 2
+
+    def test_edge_list_file_count_and_pq(self, tmp_path):
+        graph_file = tmp_path / "g.edges"
+        graph_file.write_text("4 3\n0 1\n1 2\n2 3\n")
+        assert json.loads(run_cli("count", "--graph", str(graph_file)).stdout)["count"] == 6
+        assert json.loads(run_cli("pq", "--graph", str(graph_file)).stdout)["pq"] == 2
+
+    @pytest.mark.parametrize(
+        "command,limit",
+        [
+            ("count", "exhaustive count supports up to 26"),
+            ("pq2", "subset enumeration supports up to 63"),
+            ("pq", "subset enumeration supports up to 63"),
+        ],
+    )
+    def test_oversized_header_refused_before_any_graph(
+        self, tmp_path, monkeypatch, capsys, command, limit
+    ):
+        # The order check runs on the parsed header, so no n-long neighbour
+        # table is ever allocated.
+        graph_file = tmp_path / "big.edges"
+        graph_file.write_text("3000000 0\n")
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a Graph was built for an oversized header")
+
+        monkeypatch.setattr(cli, "Graph", no_graph)
+        monkeypatch.setattr(graphs, "Graph", no_graph)
+        assert cli.main([command, "--graph", str(graph_file)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {limit} vertices, got 3000000\n"
 
     def test_malformed_file_reports_line(self, tmp_path):
         graph_file = tmp_path / "bad.edges"

@@ -2,6 +2,7 @@ import concurrent.futures
 import functools
 import itertools
 import multiprocessing
+import random
 import re
 
 import pytest
@@ -24,6 +25,7 @@ from chip_diffusion import (
     is_ccd,
     is_zero2_invoking,
     is_zero_invoking,
+    parse_graph_spec,
     path,
     search_all_graphs,
 )
@@ -34,7 +36,7 @@ from chip_diffusion.enumeration import (
     all_edge_pairs,
     canonical_edge_mask,
 )
-from chip_diffusion.quiescence import _ccd_mask
+from chip_diffusion.quiescence import _ccd_mask, _zero2_mask
 
 import naive
 from strategies import graphs
@@ -111,6 +113,21 @@ class TestCount:
     def test_refuses_oversize(self):
         with pytest.raises(ValueError, match="exhaustive"):
             count_zero2_subsets(Graph(27))
+
+    def test_several_blocks_match_per_mask_firing(self):
+        # n - 1 = 16 > CCD_BLOCK_BITS, so the lower half spans four blocks.
+        # The lower-half CCD subsets of this random graph (seed 2, p = 0.12)
+        # fall 288, 224, 224 and 288 to a block, so every block counts.
+        rng = random.Random(2)
+        n = 17
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12])
+        assert n - 1 > quiescence.CCD_BLOCK_BITS
+        by_firing = sum(_zero2_mask(g, m) for m in range(1 << n))
+        assert count_zero2_subsets(g) == by_firing == 2048
+
+    @pytest.mark.parametrize("spec,expected", [("cycle:20", 15_128), ("kbip:10,10", 184_758)])
+    def test_benchmark_graphs(self, spec, expected):
+        assert count_zero2_subsets(parse_graph_spec(spec)) == expected
 
 
 class TestDominationNumber:

@@ -29,6 +29,11 @@ class TestClosedForms:
     def test_recurrence_matches_count_at_10(self):
         assert j_recurrence(10) == count_zero2_subsets(path(10)) == 70
 
+    @pytest.mark.parametrize("n", range(23, 27))
+    def test_count_matches_fibonacci_form_to_the_exhaustive_limit(self, n):
+        # Criterion 6 covers n <= 22; this covers the rest of the count's range.
+        assert count_zero2_subsets(path(n)) == j_fibonacci(n)
+
     @pytest.mark.parametrize("n,expected", [(1, 2), (2, 4), (3, 4), (4, 6)])
     def test_fibonacci_form_values(self, n, expected):
         assert j_fibonacci(n) == expected

@@ -15,6 +15,7 @@ from chip_diffusion import (
     complete_multipartite,
     components_within,
     domination_number,
+    graph_from_edge_mask,
     is_ccd,
     is_connected,
     is_dominating,
@@ -28,6 +29,7 @@ from chip_diffusion import (
     pq2,
     subsets_of_size,
 )
+from chip_diffusion.quiescence import _ccd_block
 
 import naive
 from strategies import graphs, graphs_with_subset
@@ -99,6 +101,38 @@ class TestCcd:
         # {0,2} is minimal dominating yet unbalanced around the complement.
         assert is_minimal_dominating(g, vs(g, 0, 2))
         assert not is_ccd(g, vs(g, 0, 2))
+
+
+def naive_ccd(g, masks):
+    """naive.ccd on each subset mask of g."""
+    adj = naive.adjacency(g.n, g.edges)
+    return [naive.ccd(adj, {v for v in range(g.n) if m >> v & 1}) for m in masks]
+
+
+def assert_block_matches(g, high, k, want):
+    """Bit j of _ccd_block(g, high, k) is want[j], the verdict on high | j."""
+    block = _ccd_block(g, high, k)
+    assert block >> (1 << k) == 0, (g.edges, high, k)
+    assert [bool(block >> j & 1) for j in range(1 << k)] == want, (g.edges, high, k)
+
+
+class TestCcdBlock:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_block_of_every_small_graph(self, n):
+        # Every labelled graph, every block size and every block offset.
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            table = naive_ccd(g, range(1 << n))
+            for k in range(n + 1):
+                for high in range(0, 1 << n, 1 << k):
+                    assert_block_matches(g, high, k, table[high:high + (1 << k)])
+
+    @given(graphs(max_n=9), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_block(self, g, data):
+        k = data.draw(st.integers(min_value=0, max_value=g.n))
+        high = data.draw(st.integers(min_value=0, max_value=(1 << (g.n - k)) - 1)) << k
+        assert_block_matches(g, high, k, naive_ccd(g, range(high, high + (1 << k))))
 
 
 class TestZero2:
