@@ -12,12 +12,13 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, fields
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from . import enumeration, paths, quiescence
 from .engine import trace
-from .graphs import Graph, VertexSet, _read_edge_list, parse_graph_spec
+from .graphs import Graph, VertexSet, _read_edge_list, _read_graph_spec
 from .quiescence import UNKNOWN, ZeroStatus
 
 
@@ -27,16 +28,18 @@ def _resolve_graph(source: str, check_order: Callable[[int], None] | None = None
     parse_graph_spec; anything else is read as a file, so a missing path
     reports the missing file.
 
-    check_order is the command's own order limit. It sees an edge list's n
-    after the text is checked and before the Graph is built, so an oversized
-    header fails without allocating n-long neighbour tables."""
+    check_order is the command's own order limit. It sees a spec's order, or
+    an edge list's n after the text is checked, before the Graph is built, so
+    an oversized source fails without allocating n-long neighbour tables."""
     file = Path(source)
     if ":" in source and "/" not in source and os.sep not in source and not file.is_file():
-        return parse_graph_spec(source)
-    n, edges = _read_edge_list(file.read_text())
+        n, build = _read_graph_spec(source)
+    else:
+        n, edges = _read_edge_list(file.read_text())
+        build = partial(Graph, n, edges)
     if check_order is not None:
         check_order(n)
-    return Graph(n, edges)
+    return build()
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:

@@ -19,7 +19,6 @@ share Graph objects across threads or processes freely.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,7 +94,9 @@ class PeriodReport:
 
 
 class CapExceededError(RuntimeError):
-    """No cycle confirmed within the step cap; carries the trace tail for diagnosis."""
+    """No cycle confirmed within the step cap. tail is (C_{cap-1}, C_cap), the
+    last two configurations: the pair the cycle test compared last. trace
+    gives any longer window."""
 
     def __init__(self, steps_taken: int, tail: tuple[Configuration, ...]):
         super().__init__(
@@ -105,8 +106,6 @@ class CapExceededError(RuntimeError):
         self.steps_taken = steps_taken
         self.tail = tail
 
-
-_TAIL_KEEP = 16
 
 # Kinds of _walk outcome besides the period (1 or 2) of a detected cycle.
 _WALK_ZERO, _WALK_CAP = 0, 3
@@ -221,14 +220,9 @@ def run(g: Graph, c0: Sequence[int], max_steps: int = DEFAULT_MAX_STEPS) -> Peri
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    c0 = _as_config(g, c0)
-    k, kind, before, last = _walk(g.edges, c0, max_steps, False)
+    k, kind, before, last = _walk(g.edges, _as_config(g, c0), max_steps, False)
     if kind == _WALK_CAP:
-        # Rare error path: replay to recover the tail the kernel does not keep.
-        tail = deque([c0], maxlen=_TAIL_KEEP)
-        for _ in range(max_steps):
-            tail.append(fire(g, tail[-1]))
-        raise CapExceededError(max_steps, tuple(tail))
+        raise CapExceededError(max_steps, (before, last))
     # Period 1: C_k = C_{k-1}. Period 2: C_k = C_{k-2}, so the cycle is (C_k, C_{k-1}).
     return PeriodReport(
         preperiod=k - kind, period=kind, period_configs=(last, before)[:kind], steps_taken=k

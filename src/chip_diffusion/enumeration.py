@@ -33,11 +33,11 @@ from typing import Callable, Iterator
 
 from .engine import _WALK_CAP, _WALK_ZERO, DEFAULT_MAX_STEPS
 from .graphs import Graph, VertexSet, _dominating_mask, is_connected
-from .quiescence import CCD_BLOCK_BITS, _ccd_block, _ccd_mask, _check_enumerable
+from .quiescence import CCD_BLOCK_BITS, _ccd_block, _ccd_mask, _check_enumerable, _count_planes
 from .quiescence import _perturbation_walk, subsets_of_size
 
-# At the limit the count took 0.7 s for path:26 and 19 s for complete:26
-# (2-core Xeon, CPython 3.11); every extra vertex doubles it.
+# At the limit the count took 0.3 s for path:26 and 9-10 s for complete:26
+# (2-core Xeon, CPython 3.11, two runs); every extra vertex doubles it.
 EXHAUSTIVE_COUNT_LIMIT = 26
 
 _CHUNK = 4096
@@ -85,7 +85,8 @@ def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
     min(CCD_BLOCK_BITS, n - 1), one quiescence._ccd_block call per block. By
     the block lemma there, a vertex's neighbour count in H = high | j is a
     per-block constant (its popcount over the fixed high bits) plus
-    exact-count planes over the k low vertices; an edge outside H needs equal
+    exact-count planes over the k low vertices, which depend only on g and k
+    and so are built once for all blocks; an edge outside H needs equal
     counts, an edge inside H counts that differ by deg u - deg v. The count
     is the popcount of the block bitmaps.
 
@@ -94,8 +95,9 @@ def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
     _check_countable(g.n)
     if g.n:
         k = min(CCD_BLOCK_BITS, g.n - 1)
-        half = 1 << (g.n - 1)
-        count = 2 * sum(_ccd_block(g, high, k).bit_count() for high in range(0, half, 1 << k))
+        counts = _count_planes(g, k)
+        blocks = range(0, 1 << (g.n - 1), 1 << k)
+        count = 2 * sum(_ccd_block(g, high, k, counts).bit_count() for high in blocks)
     else:
         count = 1
     if not include_trivial:

@@ -8,7 +8,8 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 
 class EdgeListParseError(ValueError):
@@ -235,6 +236,13 @@ def complete_multipartite(parts: Iterable[int]) -> Graph:
 
 def parse_graph_spec(spec: str) -> Graph:
     """Resolve generator spec strings: path:N, cycle:N, complete:N, kbip:A,B, kpartite:A,B,...."""
+    return _read_graph_spec(spec)[1]()
+
+
+def _read_graph_spec(spec: str) -> tuple[int, Callable[[], Graph]]:
+    """The order of a generator spec and the call that builds its graph,
+    without building it: the spec-side twin of _read_edge_list. Every kind's
+    order is the sum of its arguments."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"bad graph spec {spec!r}, expected 'kind:args'")
@@ -242,17 +250,15 @@ def parse_graph_spec(spec: str) -> Graph:
         nums = [int(x) for x in arg.split(",")] if arg else []
     except ValueError:
         raise ValueError(f"bad graph spec {spec!r}, non-integer argument") from None
-    if kind == "path" and len(nums) == 1:
-        return path(nums[0])
-    if kind == "cycle" and len(nums) == 1:
-        return cycle(nums[0])
-    if kind == "complete" and len(nums) == 1:
-        return complete(nums[0])
-    if kind == "kbip" and len(nums) == 2:
-        return complete_bipartite(nums[0], nums[1])
-    if kind == "kpartite" and len(nums) >= 1:
-        return complete_multipartite(nums)
-    raise ValueError(f"bad graph spec {spec!r}")
+    if kind in ("path", "cycle", "complete") and len(nums) == 1:
+        build = partial({"path": path, "cycle": cycle, "complete": complete}[kind], nums[0])
+    elif kind == "kbip" and len(nums) == 2:
+        build = partial(complete_bipartite, *nums)
+    elif kind == "kpartite" and len(nums) >= 1:
+        build = partial(complete_multipartite, nums)
+    else:
+        raise ValueError(f"bad graph spec {spec!r}")
+    return sum(nums), build
 
 
 def _reach(g: Graph, start: int, within: int) -> int:

@@ -5,8 +5,9 @@ neighbour, wealth rules suspended; afterwards ordinary Diffusion resumes.
 Step numbering follows the perturbation convention: step 0 is the all-zero
 start, step 1 the post-perturbation configuration, and each later step one
 Diffusion firing. Every perturbation walk goes through _perturbation_walk:
-is_zero_invoking and pq, the step-2 check behind is_zero2_invoking, pq2 and
-paths.check_endpoint_lemma, and the census in enumeration.
+is_zero_invoking, the one smallest-subset scan behind pq and pq2, the step-2
+check behind is_zero2_invoking and paths.check_endpoint_lemma, and the
+census in enumeration.
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -30,11 +31,14 @@ from .engine import DEFAULT_MAX_STEPS, PeriodReport
 from .engine import _WALK_CAP, _WALK_ZERO, _walk
 from .graphs import Graph, VertexSet, _check_set
 
-ENUMERATION_LIMIT = 63  # single-word subset masks
+# The largest order that pq2, pq, domination_number and find_zero_not_zero2
+# accept; the CLI checks a source's order against it before building the graph.
+ENUMERATION_LIMIT = 63
 # count_zero2_subsets tests 2^CCD_BLOCK_BITS subsets per _ccd_block call.
 # Counting path:22, cycle:20, kbip:10,10, path:26 and complete:22 in one
-# process (2-core Xeon, CPython 3.11) took 6.2 s at 10 bits, 1.3 s at 14,
-# 1.0 s at 16 and 1.4 s at 18, with peak RSS 14, 15, 17 and 29 MB.
+# process (2-core Xeon, CPython 3.11, two runs) took 3.1-3.7 s at 10 bits,
+# 0.8-1.0 s at 14, 0.7-0.8 s at 16 and 0.7-0.8 s at 18, with peak RSS 16,
+# 16, 18 and 29 MB.
 CCD_BLOCK_BITS = 14
 
 
@@ -100,7 +104,7 @@ def is_ccd(g: Graph, h: VertexSet) -> bool:
 
 
 def _ccd_mask(g: Graph, mask: int) -> bool:
-    return _ccd_block(g, mask, 0) == 1
+    return _ccd_block(g, mask, 0, {}) == 1
 
 
 def _index_planes(k: int) -> tuple[int, ...]:
@@ -119,11 +123,12 @@ def _index_planes(k: int) -> tuple[int, ...]:
 _INDEX_PLANES = _index_planes(CCD_BLOCK_BITS)
 
 
-def _count_planes(masks: tuple[int, ...], k: int, full: int) -> dict[int, list[int]]:
+def _count_planes(g: Graph, k: int) -> dict[int, list[int]]:
     """The exact-count planes P_u of every vertex u with a neighbour among
     the k low vertices, as {u: P_u}: bit j of P_u[c] is set when exactly c of
     those neighbours are in j. Adding a neighbour with index plane X moves
     each subset from count c to c + 1 where X is set."""
+    masks, full = g.nbr_masks, (1 << (1 << k)) - 1
     counts = {}
     near = 0
     for nbrs in masks[:k]:
@@ -141,10 +146,12 @@ def _count_planes(masks: tuple[int, ...], k: int, full: int) -> dict[int, list[i
     return counts
 
 
-def _ccd_block(g: Graph, high: int, k: int) -> int:
+def _ccd_block(g: Graph, high: int, k: int, counts: dict[int, list[int]]) -> int:
     """CCD on the 2^k subsets high | j, j < 2^k, one subset per bit: bit j of
     the result is set exactly when CCD holds for high | j. high has its low k
-    bits clear, and 0 <= k <= CCD_BLOCK_BITS.
+    bits clear, 0 <= k <= CCD_BLOCK_BITS, and counts is _count_planes(g, k):
+    the planes depend only on g and k, so a count builds them once for all
+    its blocks, and a k = 0 call passes {}.
 
     Block lemma. For H = high | j, |N(u) & H| = K_u + a_u(j), where the
     constant K_u = |N(u) & high| is the same for the whole block and a_u(j) =
@@ -160,7 +167,6 @@ def _ccd_block(g: Graph, high: int, k: int) -> int:
     """
     full = (1 << (1 << k)) - 1
     masks = g.nbr_masks
-    counts = _count_planes(masks, k, full) if k else {}
     bad = 0
     for u, v in g.edges:
         if counts and (u in counts or v in counts):
@@ -275,20 +281,32 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def pq2(g: Graph) -> int:
-    """Size of the smallest nonempty subset that is zero again at step 2.
-
-    Always defined: the full vertex set perturbs to a no-op. Enumerates by
-    ascending subset size so the first witness ends the search.
-    """
+def _least_zero_size(g: Graph, max_steps: int) -> tuple[int, bool]:
+    """The least size k of a nonempty subset whose perturbation walk, capped
+    at max_steps, reaches zero, and whether a smaller subset hit the cap.
+    Subsets go by ascending size, so the first witness ends the scan."""
     _check_enumerable(g.n)
     if g.n == 0:
-        raise ValueError("pq2 is undefined on the empty graph (no nonempty subsets)")
+        raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    smallest_capped = g.n + 1
     for k in range(1, g.n + 1):
         for mask in subsets_of_size(g.n, k):
-            if _zero2_mask(g, mask):
-                return k
+            kind = _perturbation_walk(g, mask, max_steps)[1]
+            if kind == _WALK_ZERO:
+                return k, smallest_capped < k
+            if kind == _WALK_CAP:
+                smallest_capped = min(smallest_capped, k)
     raise AssertionError("unreachable: the full vertex set is always a witness")
+
+
+def pq2(g: Graph) -> int:
+    """Size of the smallest nonempty subset that is zero again at step 2:
+    pq's scan with the walk capped at step 2, which reaches zero exactly when
+    the subset is zero at step 2 (a no-op perturbation included), so caps are
+    ignored. Always defined: the full vertex set perturbs to a no-op."""
+    return _least_zero_size(g, 2)[0]
 
 
 def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
@@ -297,19 +315,5 @@ def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
     Returns UNKNOWN when some smaller subset hit the step cap before a
     witness settled the minimum.
     """
-    _check_enumerable(g.n)
-    if g.n == 0:
-        raise ValueError("pq is undefined on the empty graph (no nonempty subsets)")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    capped_below = False
-    for k in range(1, g.n + 1):
-        capped_here = False
-        for mask in subsets_of_size(g.n, k):
-            kind = _perturbation_walk(g, mask, max_steps)[1]
-            if kind == _WALK_ZERO:
-                return UNKNOWN if capped_below else k
-            if kind == _WALK_CAP:
-                capped_here = True
-        capped_below = capped_below or capped_here
-    raise AssertionError("unreachable: the full vertex set is always a witness")
+    k, capped_below = _least_zero_size(g, max_steps)
+    return UNKNOWN if capped_below else k

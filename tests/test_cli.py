@@ -251,20 +251,37 @@ class TestGraphSources:
     def test_oversized_header_refused_before_any_graph(
         self, tmp_path, monkeypatch, capsys, command, limit
     ):
-        # The order check runs on the parsed header, so no n-long neighbour
-        # table is ever allocated.
+        # The order check runs on the parsed header or on a spec's order, so
+        # no n-long neighbour table is ever allocated.
         graph_file = tmp_path / "big.edges"
         graph_file.write_text("3000000 0\n")
 
         def no_graph(*args, **kwargs):
-            raise AssertionError("a Graph was built for an oversized header")
+            raise AssertionError("a Graph was built for an oversized source")
 
         monkeypatch.setattr(cli, "Graph", no_graph)
         monkeypatch.setattr(graphs, "Graph", no_graph)
-        assert cli.main([command, "--graph", str(graph_file)]) == 1
+        sources = [
+            (str(graph_file), 3000000),
+            ("path:3000000", 3000000),
+            ("complete:2000", 2000),
+            ("kbip:1,2999999", 3000000),
+            ("kpartite:1000000,1000000,1000000", 3000000),
+        ]
+        for source, n in sources:
+            assert cli.main([command, "--graph", source]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: {limit} vertices, got {n}\n"
+
+    def test_spec_order_checked_before_its_arguments(self, capsys):
+        # The order is the sum of the arguments, checked before any
+        # generator sees them, so a bad part size above the limit reports
+        # the limit.
+        assert cli.main(["count", "--graph", "kbip:-1,30"]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == f"error: {limit} vertices, got 3000000\n"
+        assert out.err == "error: exhaustive count supports up to 26 vertices, got 29\n"
 
     def test_malformed_file_reports_line(self, tmp_path):
         graph_file = tmp_path / "bad.edges"

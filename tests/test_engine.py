@@ -19,6 +19,7 @@ from chip_diffusion import (
     trace,
     zero_preposition_from_orientation,
 )
+from chip_diffusion import engine
 
 import naive
 from strategies import graphs, graphs_with_config
@@ -127,10 +128,23 @@ class TestRun:
         assert report.preperiod == 1
 
     def test_cap_exceeded_carries_tail(self):
+        # The tail is the last pair the cycle test compared: C_{cap-1}, C_cap.
         with pytest.raises(CapExceededError) as err:
             run(path(5), P5_START, max_steps=2)
         assert err.value.steps_taken == 2
-        assert err.value.tail[-1] == P5_ROWS[2]
+        assert err.value.tail == (P5_ROWS[1], P5_ROWS[2])
+        with pytest.raises(CapExceededError) as err:
+            run(path(5), P5_START, max_steps=1)
+        assert err.value.tail == (P5_START, P5_ROWS[1])
+
+    def test_capped_run_never_replays(self, monkeypatch):
+        # The walk that hit the cap already holds the tail; nothing replays it.
+        calls = []
+        real_fire = engine.fire
+        monkeypatch.setattr(engine, "fire", lambda *a: calls.append(a) or real_fire(*a))
+        with pytest.raises(CapExceededError):
+            run(path(5), P5_START, max_steps=2)
+        assert calls == []
 
     def test_bad_cap(self):
         with pytest.raises(ValueError):

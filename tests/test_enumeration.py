@@ -46,6 +46,16 @@ from strategies import graphs
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
 
 
+def four_block_graph():
+    """A random graph (seed 2, p = 0.12) on 17 vertices: n - 1 = 16 >
+    CCD_BLOCK_BITS, so the lower half of its masks spans four blocks."""
+    rng = random.Random(2)
+    n = 17
+    g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12])
+    assert n - 1 > quiescence.CCD_BLOCK_BITS
+    return g
+
+
 class TestCount:
     @pytest.mark.parametrize("n,expected", [(1, 2), (2, 4), (3, 4), (5, 8)])
     def test_path_counts(self, n, expected):
@@ -115,15 +125,31 @@ class TestCount:
             count_zero2_subsets(Graph(27))
 
     def test_several_blocks_match_per_mask_firing(self):
-        # n - 1 = 16 > CCD_BLOCK_BITS, so the lower half spans four blocks.
-        # The lower-half CCD subsets of this random graph (seed 2, p = 0.12)
-        # fall 288, 224, 224 and 288 to a block, so every block counts.
-        rng = random.Random(2)
-        n = 17
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12])
-        assert n - 1 > quiescence.CCD_BLOCK_BITS
-        by_firing = sum(_zero2_mask(g, m) for m in range(1 << n))
+        # The lower-half CCD subsets of this random graph fall 288, 224, 224
+        # and 288 to a block, so every block counts.
+        g = four_block_graph()
+        by_firing = sum(_zero2_mask(g, m) for m in range(1 << g.n))
         assert count_zero2_subsets(g) == by_firing == 2048
+
+    def test_planes_built_once_per_count(self, monkeypatch):
+        # The count planes depend only on the graph and k, not on the block.
+        calls = []
+        real = quiescence._count_planes
+
+        def counted(*args):
+            calls.append(args[1])  # k
+            return real(*args)
+
+        monkeypatch.setattr(quiescence, "_count_planes", counted)
+        monkeypatch.setattr(enumeration, "_count_planes", counted, raising=False)
+        assert count_zero2_subsets(four_block_graph()) == 2048
+        assert calls == [quiescence.CCD_BLOCK_BITS]
+
+    def test_complete_graphs_pass_every_subset(self):
+        # On K_n every subset is CCD. From n = 16 on the lower half spans
+        # several blocks, and every vertex has neighbours among the low ones.
+        for n in range(1, 21):
+            assert count_zero2_subsets(complete(n)) == 2**n, n
 
     @pytest.mark.parametrize("spec,expected", [("cycle:20", 15_128), ("kbip:10,10", 184_758)])
     def test_benchmark_graphs(self, spec, expected):

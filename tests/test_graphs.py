@@ -25,7 +25,7 @@ from chip_diffusion import (
     path,
     perturb,
 )
-from chip_diffusion.graphs import format_edge_list
+from chip_diffusion.graphs import _read_graph_spec, format_edge_list
 
 import naive
 from conftest import RIGID_SIX_EDGES
@@ -123,6 +123,15 @@ class TestGenerators:
         assert parse_graph_spec("complete:3") == complete(3)
         assert parse_graph_spec("kbip:2,3") == complete_bipartite(2, 3)
         assert parse_graph_spec("kpartite:2,2,2") == complete_multipartite([2, 2, 2])
+
+    @pytest.mark.parametrize(
+        "spec", ["path:5", "cycle:4", "complete:3", "kbip:2,3", "kpartite:2,1,3", "kpartite:4"]
+    )
+    def test_spec_order_read_without_building(self, spec):
+        n, build = _read_graph_spec(spec)
+        g = build()
+        assert n == g.n
+        assert g == parse_graph_spec(spec)
 
     @pytest.mark.parametrize("spec", ["path", "path:", "path:x", "kbip:1", "blob:3", "path:1,2"])
     def test_bad_graph_spec(self, spec):

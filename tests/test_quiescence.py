@@ -29,7 +29,7 @@ from chip_diffusion import (
     pq2,
     subsets_of_size,
 )
-from chip_diffusion.quiescence import _ccd_block
+from chip_diffusion.quiescence import _ccd_block, _count_planes
 
 import naive
 from strategies import graphs, graphs_with_subset
@@ -111,7 +111,7 @@ def naive_ccd(g, masks):
 
 def assert_block_matches(g, high, k, want):
     """Bit j of _ccd_block(g, high, k) is want[j], the verdict on high | j."""
-    block = _ccd_block(g, high, k)
+    block = _ccd_block(g, high, k, _count_planes(g, k))
     assert block >> (1 << k) == 0, (g.edges, high, k)
     assert [bool(block >> j & 1) for j in range(1 << k)] == want, (g.edges, high, k)
 
@@ -321,6 +321,23 @@ class TestPq2:
 
         with pytest.raises(ValueError):
             pq2(Graph(0))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_naive_on_every_labelled_graph(self, n):
+        # The smallest nonempty subset that the dict-based oracle sees fire
+        # back to zero at step 2.
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            adj = naive.adjacency(n, g.edges)
+            want = next(
+                k
+                for k in range(1, n + 1)
+                if any(
+                    naive.zero2_invoking(adj, set(c))
+                    for c in itertools.combinations(range(n), k)
+                )
+            )
+            assert pq2(g) == want, g.edges
 
 
 def naive_pq(g, cap):
