@@ -12,33 +12,31 @@ import json
 import os
 import sys
 from dataclasses import asdict, astuple, fields
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from . import enumeration, paths, quiescence
-from .engine import trace
+from .engine import Configuration, _as_config, trace
 from .graphs import Graph, VertexSet, _read_edge_list, _read_graph_spec
 from .quiescence import UNKNOWN, ZeroStatus
 
 
-def _resolve_graph(source: str, check_order: Callable[[int], None] | None = None) -> Graph:
+def _resolve_graph(source: str, check_order: Callable[[int], object]) -> Graph:
     """An existing file is an edge list. Any other source containing ':' and
     no path separator (a spec kind never has one) is a generator spec for
     parse_graph_spec; anything else is read as a file, so a missing path
     reports the missing file.
 
-    check_order is the command's own order limit. It sees a spec's order, or
-    an edge list's n after the text is checked, before the Graph is built, so
-    an oversized source fails without allocating n-long neighbour tables."""
+    check_order is the command's own check of the order: a limit, or the
+    fit of a configuration or subset. It sees a spec's order, or an edge
+    list's n after the text is checked, before the Graph is built, so a
+    refused request fails without allocating n-long neighbour tables."""
     file = Path(source)
     if ":" in source and "/" not in source and os.sep not in source and not file.is_file():
         n, build = _read_graph_spec(source)
     else:
-        n, edges = _read_edge_list(file.read_text())
-        build = partial(Graph, n, edges)
-    if check_order is not None:
-        check_order(n)
+        n, build = _read_edge_list(file.read_text())
+    check_order(n)
     return build()
 
 
@@ -52,8 +50,12 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise ValueError(f"bad {what} {text!r}: expected comma-separated integers") from None
 
 
-def _subset(g: Graph, text: str) -> VertexSet:
-    return VertexSet.from_indices(g.n, _parse_int_list(text, "subset"))
+def _subset(n: int, text: str) -> VertexSet:
+    return VertexSet.from_indices(n, _parse_int_list(text, "subset"))
+
+
+def _config(n: int, text: str) -> Configuration:
+    return _as_config(n, _parse_int_list(text, "config"))
 
 
 def _emit_json(obj) -> None:
@@ -67,8 +69,8 @@ def _write_csv(header: list[str], rows) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    g = _resolve_graph(args.graph)
-    c0 = _parse_int_list(args.config, "config")
+    g = _resolve_graph(args.graph, lambda n: _config(n, args.config))
+    c0 = _config(g.n, args.config)
     rows = trace(g, c0, args.steps)
     if args.format == "csv":
         header = ["step"] + [f"v{i}" for i in range(g.n)]
@@ -86,8 +88,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    g = _resolve_graph(args.graph)
-    h = _subset(g, args.subset)
+    g = _resolve_graph(args.graph, lambda n: _subset(n, args.subset))
+    h = _subset(g.n, args.subset)
     cfg = quiescence.perturb(g, h)
     if args.format == "csv":
         _write_csv([f"v{i}" for i in range(g.n)], [cfg])
@@ -105,8 +107,8 @@ def _zero_json(outcome: quiescence.ZeroInvokingOutcome) -> dict:
 
 
 def _cmd_check(args) -> int:
-    g = _resolve_graph(args.graph)
-    h = _subset(g, args.subset)
+    g = _resolve_graph(args.graph, lambda n: _subset(n, args.subset))
+    h = _subset(g.n, args.subset)
     outcome = quiescence.is_zero_invoking(g, h, args.max_steps)
     _emit_json(
         {

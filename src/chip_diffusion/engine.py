@@ -8,7 +8,7 @@ so arithmetic can never wrap silently.
 Configurations are tuples indexed by vertex. Every trajectory on a finite
 graph enters a cycle of length 1 or 2; one walker, `_walk`, relies on that and
 detects the cycle from a two-configuration window. `fire`, `run` and the
-perturbation walks in `quiescence` and `enumeration` all go through it. The
+perturbation walks in `quiescence` all go through it. The
 preperiod, however, has no known bound, so walks keep a step cap that turns a
 would-be hang into a loud error or an explicit cap outcome.
 
@@ -111,10 +111,10 @@ class CapExceededError(RuntimeError):
 _WALK_ZERO, _WALK_CAP = 0, 3
 
 
-def _as_config(g: Graph, c: Sequence[int]) -> Configuration:
+def _as_config(n: int, c: Sequence[int]) -> Configuration:
     t = tuple(c)
-    if len(t) != g.n:
-        raise ValueError(f"configuration has {len(t)} stacks but graph has {g.n} vertices")
+    if len(t) != n:
+        raise ValueError(f"configuration has {len(t)} stacks but graph has {n} vertices")
     return t
 
 
@@ -151,7 +151,7 @@ def _walk(edges: tuple, c: Configuration, limit: int, stop_at_zero: bool) -> tup
 def fire(g: Graph, c: Sequence[int]) -> Configuration:
     """One simultaneous firing: each vertex gains a chip per strictly richer
     neighbour and loses one per strictly poorer neighbour."""
-    return _walk(g.edges, _as_config(g, c), 1, False)[3]
+    return _walk(g.edges, _as_config(g.n, c), 1, False)[3]
 
 
 def shift(c: Sequence[int], k: int) -> Configuration:
@@ -165,7 +165,7 @@ def is_zero_configuration(c: Sequence[int]) -> bool:
 
 def trace(g: Graph, c0: Sequence[int], t_max: int) -> list[Configuration]:
     """Configurations C_0..C_{t_max} under repeated firing."""
-    c = _as_config(g, c0)
+    c = _as_config(g.n, c0)
     if t_max < 0:
         raise ValueError(f"t_max must be >= 0, got {t_max}")
     out = [c]
@@ -177,7 +177,7 @@ def trace(g: Graph, c0: Sequence[int], t_max: int) -> list[Configuration]:
 
 def induced_orientation(g: Graph, c: Sequence[int]) -> Orientation:
     """Point every edge from its richer endpoint to its poorer one; flat on ties."""
-    c = _as_config(g, c)
+    c = _as_config(g.n, c)
     arrows = []
     for u, v in g.edges:
         if c[u] > c[v]:
@@ -220,7 +220,7 @@ def run(g: Graph, c0: Sequence[int], max_steps: int = DEFAULT_MAX_STEPS) -> Peri
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    k, kind, before, last = _walk(g.edges, _as_config(g, c0), max_steps, False)
+    k, kind, before, last = _walk(g.edges, _as_config(g.n, c0), max_steps, False)
     if kind == _WALK_CAP:
         raise CapExceededError(max_steps, (before, last))
     # Period 1: C_k = C_{k-1}. Period 2: C_k = C_{k-2}, so the cycle is (C_k, C_{k-1}).

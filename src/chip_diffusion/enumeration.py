@@ -1,24 +1,16 @@
-"""Exhaustive searches over subsets and over all labelled graphs of a given order.
+"""Exhaustive subset counts, and searches over all labelled graphs of a given order.
 
-Subset spaces are walked as integer masks; graph spaces as edge masks over the
-C(n,2) vertex pairs in lexicographic order (bit i = i-th pair). Everything
-here is exact enumeration with no sampling. Two pruning rules cut the work;
-neither can hide a witness or change a count or a verdict.
-
-Complement symmetry:
-  - the witness search: the perturbation of the complement V-H is the
-    negation of the perturbation of H, and firing commutes with negation,
-    fire(-c) = -fire(c). So the walks of H and V-H agree up to sign: same
-    outcome, same first zero step, same cycle, same cap status.
-  - the step-2 count: CCD is symmetric in H and V-H (its two edge conditions
-    trade places), so H passes exactly when V-H does.
+Graph spaces are walked as edge masks over the C(n,2) vertex pairs in
+lexicographic order (bit i = i-th pair). Everything here is exact enumeration
+with no sampling, and no pruning rule can hide a witness or change a count or
+a verdict.
 
 Isomorphism, in the graph census: relabelling a graph by a permutation pi
 maps each subset H to pi(H), and the walk of H to the walk of pi(H) with
 its configurations relabelled. So the kind of verdict find_zero_not_zero2
 returns (NOT_FOUND, INCONCLUSIVE or a witness) is the same for isomorphic
-graphs, for every max_steps; complement halving keeps this, since H and V-H
-share an outcome. Only which witness comes first in mask order depends on
+graphs, for every max_steps; its complement halving keeps this, since H and
+V-H share an outcome. Only which witness comes first in mask order depends on
 the labelling. So the census decides each isomorphism class once per search
 (canonical_edge_mask) and rescans each witness graph for its own first witness."""
 
@@ -27,14 +19,12 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .engine import _WALK_CAP, _WALK_ZERO, DEFAULT_MAX_STEPS
-from .graphs import Graph, VertexSet, _dominating_mask, is_connected
-from .quiescence import CCD_BLOCK_BITS, _ccd_block, _ccd_mask, _check_enumerable, _count_planes
-from .quiescence import _perturbation_walk, subsets_of_size
+from .engine import DEFAULT_MAX_STEPS
+from .graphs import Graph, is_connected
+from .quiescence import SearchStatus, SearchWitness, _ccd_lower_half, find_zero_not_zero2
 
 # At the limit the count took 0.3 s for path:26 and 9-10 s for complete:26
 # (2-core Xeon, CPython 3.11, two runs); every extra vertex doubles it.
@@ -42,21 +32,6 @@ EXHAUSTIVE_COUNT_LIMIT = 26
 
 _CHUNK = 4096
 _CHECKPOINT_RE = re.compile(r"search (\d+) (\d+) ([01]) (\d+) (\d+)\n\1 (\d+)\n")
-
-
-class SearchStatus(Enum):
-    NOT_FOUND = "not_found"
-    INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class SearchWitness:
-    """A subset that restores zero eventually but not at step 2."""
-
-    graph: Graph
-    subset: VertexSet
-    zero_step: int
-    note: str
 
 
 @dataclass(frozen=True)
@@ -81,23 +56,11 @@ def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
     complementing maps the lower half of the masks onto the upper half. On
     n = 0 the empty set is its own complement and is counted once.
 
-    The lower half is checked in blocks of 2^k consecutive masks, k =
-    min(CCD_BLOCK_BITS, n - 1), one quiescence._ccd_block call per block. By
-    the block lemma there, a vertex's neighbour count in H = high | j is a
-    per-block constant (its popcount over the fixed high bits) plus
-    exact-count planes over the k low vertices, which depend only on g and k
-    and so are built once for all blocks; an edge outside H needs equal
-    counts, an edge inside H counts that differ by deg u - deg v. The count
-    is the popcount of the block bitmaps.
-
     include_trivial=False drops the empty set and the full vertex set.
     """
     _check_countable(g.n)
     if g.n:
-        k = min(CCD_BLOCK_BITS, g.n - 1)
-        counts = _count_planes(g, k)
-        blocks = range(0, 1 << (g.n - 1), 1 << k)
-        count = 2 * sum(_ccd_block(g, high, k, counts).bit_count() for high in blocks)
+        count = 2 * _ccd_lower_half(g)
     else:
         count = 1
     if not include_trivial:
@@ -110,54 +73,6 @@ def _check_countable(n: int) -> None:
         raise ValueError(
             f"exhaustive count supports up to {EXHAUSTIVE_COUNT_LIMIT} vertices, got {n}"
         )
-
-
-def domination_number(g: Graph) -> int:
-    """Exact domination number by ascending-size subset enumeration."""
-    _check_enumerable(g.n)
-    for k in range(g.n + 1):
-        if any(_dominating_mask(g, s) for s in subsets_of_size(g.n, k)):
-            return k
-    raise AssertionError("unreachable: the full vertex set dominates")
-
-
-def find_zero_not_zero2(
-    g: Graph, max_steps: int = DEFAULT_MAX_STEPS
-) -> SearchWitness | SearchStatus:
-    """Scan all subsets in ascending mask order for one that is zero-invoking
-    but not zero at step 2.
-
-    Returns the first witness, NOT_FOUND after a clean exhaustive scan, or
-    INCONCLUSIVE when some subset hit the step cap and none witnessed.
-
-    Only masks below 2^(n-1) are walked: by complement symmetry (module
-    docstring) a witness or capped subset with bit n-1 set has a complement
-    of the same kind with a smaller mask, so the first witness and the
-    INCONCLUSIVE verdict are unchanged. Subsets whose perturbation moves no
-    chip are zero at step 0 and never witnesses.
-    """
-    _check_enumerable(g.n)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    capped = False
-    for mask in range((1 << g.n) >> 1):
-        t, kind, _, _ = _perturbation_walk(g, mask, max_steps)
-        if kind == _WALK_CAP:
-            capped = True
-        elif kind == _WALK_ZERO and t >= 3:
-            # Zero first recurs after step 2, so the step-2 configuration is
-            # nonzero. Re-check before reporting with the structural CCD test,
-            # which holds exactly when step 2 is zero and shares no code with
-            # the walk.
-            if _ccd_mask(g, mask):
-                raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
-            return SearchWitness(
-                graph=g,
-                subset=VertexSet(g.n, mask),
-                zero_step=t,
-                note=f"zero restored at step {t}, nonzero at step 2",
-            )
-    return SearchStatus.INCONCLUSIVE if capped else SearchStatus.NOT_FOUND
 
 
 def all_edge_pairs(n: int) -> tuple[tuple[int, int], ...]:

@@ -142,12 +142,13 @@ def parse_edge_list(text: str) -> Graph:
 
     Indices are 0-based. Errors carry the offending 1-based line number.
     """
-    return Graph(*_read_edge_list(text))
+    return _read_edge_list(text)[1]()
 
 
-def _read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
-    """The order and the checked edges of edge-list text, without building
-    the Graph: nothing here grows with the header's n."""
+def _read_edge_list(text: str) -> tuple[int, Callable[[], Graph]]:
+    """The order of edge-list text and the call that builds its graph from
+    the checked edges, without building it: nothing here grows with the
+    header's n."""
     lines = text.splitlines()
     rows = [(i + 1, line.strip()) for i, line in enumerate(lines)]
     body = [(no, line) for no, line in rows if line]
@@ -183,7 +184,7 @@ def _read_edge_list(text: str) -> tuple[int, set[tuple[int, int]]]:
         if edge in edges:
             raise EdgeListParseError(no, f"edge ({u}, {v}) is listed twice")
         edges.add(edge)
-    return n, edges
+    return n, partial(Graph, n, edges)
 
 
 def format_edge_list(g: Graph) -> str:

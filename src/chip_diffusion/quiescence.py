@@ -7,7 +7,8 @@ start, step 1 the post-perturbation configuration, and each later step one
 Diffusion firing. Every perturbation walk goes through _perturbation_walk:
 is_zero_invoking, the one smallest-subset scan behind pq and pq2, the step-2
 check behind is_zero2_invoking and paths.check_endpoint_lemma, and the
-census in enumeration.
+witness search find_zero_not_zero2. Every scan bounded by ENUMERATION_LIMIT
+is here too.
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -29,12 +30,15 @@ from typing import Iterator
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
 from .engine import _WALK_CAP, _WALK_ZERO, _walk
-from .graphs import Graph, VertexSet, _check_set
+from .graphs import Graph, VertexSet, _check_set, _dominating_mask
 
 # The largest order that pq2, pq, domination_number and find_zero_not_zero2
 # accept; the CLI checks a source's order against it before building the graph.
+# It is what these scans accept, not an order whose scan is known to finish:
+# pq2 on paths took 0.15 s at n = 18, 1.24 s at 21 and 8.5 s at 24 (2-core
+# Xeon, CPython 3.11), about 7x per 3 vertices.
 ENUMERATION_LIMIT = 63
-# count_zero2_subsets tests 2^CCD_BLOCK_BITS subsets per _ccd_block call.
+# _ccd_lower_half tests 2^CCD_BLOCK_BITS subsets per _ccd_block call.
 # Counting path:22, cycle:20, kbip:10,10, path:26 and complete:22 in one
 # process (2-core Xeon, CPython 3.11, two runs) took 3.1-3.7 s at 10 bits,
 # 0.8-1.0 s at 14, 0.7-0.8 s at 16 and 0.7-0.8 s at 18, with peak RSS 16,
@@ -78,6 +82,21 @@ class ZeroInvokingOutcome:
     @property
     def reached_zero(self) -> bool:
         return self.status is ZeroStatus.REACHED_ZERO
+
+
+class SearchStatus(enum.Enum):
+    NOT_FOUND = "not_found"
+    INCONCLUSIVE = "inconclusive"
+
+
+@dataclass(frozen=True)
+class SearchWitness:
+    """A subset that restores zero eventually but not at step 2."""
+
+    graph: Graph
+    subset: VertexSet
+    zero_step: int
+    note: str
 
 
 def perturb(g: Graph, h: VertexSet) -> tuple[int, ...]:
@@ -201,6 +220,16 @@ def _ccd_block(g: Graph, high: int, k: int, counts: dict[int, list[int]]) -> int
     return full & ~bad
 
 
+def _ccd_lower_half(g: Graph) -> int:
+    """The number of CCD masks below 2^(n-1), n >= 1: one _ccd_block call
+    per block of 2^k consecutive masks, k = min(CCD_BLOCK_BITS, n - 1), with
+    the count planes built once for all blocks."""
+    k = min(CCD_BLOCK_BITS, g.n - 1)
+    counts = _count_planes(g, k)
+    blocks = range(0, 1 << (g.n - 1), 1 << k)
+    return sum(_ccd_block(g, high, k, counts).bit_count() for high in blocks)
+
+
 def is_zero2_invoking(g: Graph, h: VertexSet) -> bool:
     """Zero again at step 2. Decided by firing, never via the CCD shortcut."""
     _check_set(g, h)
@@ -317,3 +346,54 @@ def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
     """
     k, capped_below = _least_zero_size(g, max_steps)
     return UNKNOWN if capped_below else k
+
+
+def domination_number(g: Graph) -> int:
+    """Exact domination number by ascending-size subset enumeration."""
+    _check_enumerable(g.n)
+    for k in range(g.n + 1):
+        if any(_dominating_mask(g, s) for s in subsets_of_size(g.n, k)):
+            return k
+    raise AssertionError("unreachable: the full vertex set dominates")
+
+
+def find_zero_not_zero2(
+    g: Graph, max_steps: int = DEFAULT_MAX_STEPS
+) -> SearchWitness | SearchStatus:
+    """Scan all subsets in ascending mask order for one that is zero-invoking
+    but not zero at step 2.
+
+    Returns the first witness, NOT_FOUND after a clean exhaustive scan, or
+    INCONCLUSIVE when some subset hit the step cap and none witnessed.
+
+    Only masks below 2^(n-1) are walked, by complement symmetry: the
+    perturbation of V-H is the negation of the perturbation of H, and firing
+    commutes with negation, fire(-c) = -fire(c), so the walks of H and V-H
+    agree up to sign (same outcome, same first zero step, same cycle, same
+    cap status). A witness or capped subset with bit n-1 set thus has a
+    complement of the same kind with a smaller mask, and the first witness
+    and the INCONCLUSIVE verdict are unchanged. Subsets whose perturbation
+    moves no chip are zero at step 0 and never witnesses.
+    """
+    _check_enumerable(g.n)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    capped = False
+    for mask in range((1 << g.n) >> 1):
+        t, kind, _, _ = _perturbation_walk(g, mask, max_steps)
+        if kind == _WALK_CAP:
+            capped = True
+        elif kind == _WALK_ZERO and t >= 3:
+            # Zero first recurs after step 2, so the step-2 configuration is
+            # nonzero. Re-check before reporting with the structural CCD test,
+            # which holds exactly when step 2 is zero and shares no code with
+            # the walk.
+            if _ccd_mask(g, mask):
+                raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
+            return SearchWitness(
+                graph=g,
+                subset=VertexSet(g.n, mask),
+                zero_step=t,
+                note=f"zero restored at step {t}, nonzero at step 2",
+            )
+    return SearchStatus.INCONCLUSIVE if capped else SearchStatus.NOT_FOUND

@@ -274,6 +274,37 @@ class TestGraphSources:
             assert out.out == ""
             assert out.err == f"error: {limit} vertices, got {n}\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["simulate", "--config", "0,1", "--steps", "1"],
+                "configuration has 2 stacks but graph has 3000000 vertices",
+            ),
+            (["perturb", "--subset", "3000000"], "vertex 3000000 outside [0, 3000000)"),
+            (["check", "--subset", "3000000"], "vertex 3000000 outside [0, 3000000)"),
+        ],
+        ids=["simulate", "perturb", "check"],
+    )
+    def test_misfit_request_refused_before_any_graph(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        # A configuration or subset that cannot fit the source's order is
+        # refused on that order, before the Graph is built.
+        graph_file = tmp_path / "big.edges"
+        graph_file.write_text("3000000 0\n")
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("a Graph was built for a refused request")
+
+        monkeypatch.setattr(cli, "Graph", no_graph)
+        monkeypatch.setattr(graphs, "Graph", no_graph)
+        for source in (str(graph_file), "path:3000000"):
+            assert cli.main([argv[0], "--graph", source, *argv[1:]]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: {message}\n"
+
     def test_spec_order_checked_before_its_arguments(self, capsys):
         # The order is the sum of the arguments, checked before any
         # generator sees them, so a bad part size above the limit reports

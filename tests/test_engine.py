@@ -193,6 +193,12 @@ class TestOrientation:
         assert r.arrow(1, 0) is Arrow.TO_HIGHER
         assert r.arrow(1, 2) is Arrow.TO_LOWER
 
+    def test_one_arrow_per_edge(self):
+        g = path(3)
+        with pytest.raises(ValueError) as err:
+            Orientation(3, g.edges, (Arrow.TO_HIGHER,))
+        assert str(err.value) == "one arrow required per edge"
+
     def test_arrow_on_non_edge_names_the_pair(self):
         r = induced_orientation(path(3), (2, 1, 5))
         with pytest.raises(ValueError, match=r"\(2, 0\) is not an edge"):

@@ -141,7 +141,6 @@ class TestCount:
             return real(*args)
 
         monkeypatch.setattr(quiescence, "_count_planes", counted)
-        monkeypatch.setattr(enumeration, "_count_planes", counted, raising=False)
         assert count_zero2_subsets(four_block_graph()) == 2048
         assert calls == [quiescence.CCD_BLOCK_BITS]
 
@@ -212,6 +211,11 @@ class TestFindZeroNotZero2:
     def test_inconclusive_under_tiny_cap(self):
         assert find_zero_not_zero2(path(4), max_steps=1) is SearchStatus.INCONCLUSIVE
 
+    def test_zero_cap_refused(self):
+        with pytest.raises(ValueError) as err:
+            find_zero_not_zero2(path(4), max_steps=0)
+        assert str(err.value) == "max_steps must be >= 1, got 0"
+
     def test_witness_recheck_does_not_trust_the_walker(self, monkeypatch):
         # {1} on P3 is CCD (no edge lies inside H or V-H), so it is zero at
         # step 2. A walker that claims a first zero at step 3 for it, and a
@@ -227,7 +231,6 @@ class TestFindZeroNotZero2:
 
         assert _ccd_mask(path(3), 0b010)
         monkeypatch.setattr(quiescence, "_perturbation_walk", lying_walk)
-        monkeypatch.setattr(enumeration, "_perturbation_walk", lying_walk)
         with pytest.raises(AssertionError, match="CCD"):
             find_zero_not_zero2(path(3))
 

@@ -36,6 +36,23 @@ def vs(g, *members):
     return VertexSet.from_indices(g.n, members)
 
 
+# (edge-list text, line number, message) of each parse error.
+EDGE_LIST_ERRORS = [
+    ("", 1, "empty input, expected header 'n m'"),
+    ("2\n", 1, "expected header 'n m', got '2'"),
+    ("2 1\n0 x\n", 2, "expected integer endpoints, got '0 x'"),
+    ("2 1\n0 0\n", 2, "self-loop at vertex 0"),
+    ("2 1\n0 5\n", 2, "edge (0, 5) has an endpoint outside [0, 2)"),
+    ("2 2\n0 1\n", 2, "header promises 2 edges but 1 edge lines found"),
+    ("2 1\n0 1\n1 0\n", 3, "header promises 1 edges but 2 edge lines found"),
+    ("2 2\n0 1\n1 0\n", 3, "edge (1, 0) is listed twice"),
+    ("a 1\n", 1, "expected integer header 'n m', got 'a 1'"),
+    ("2 -1\n", 1, "negative counts in header '2 -1'"),
+    ("2 1\n0\n", 2, "expected edge 'u v', got '0'"),
+    ("2 1\n0 1 1\n", 2, "expected edge 'u v', got '0 1 1'"),
+]
+
+
 class TestConstruction:
     def test_single_edge(self):
         g = Graph(2, [(0, 1)])
@@ -62,6 +79,11 @@ class TestConstruction:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             Graph(3, [(1, 1)])
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError) as err:
+            Graph(-1)
+        assert str(err.value) == "vertex count must be >= 0, got -1"
 
     def test_adjacency_symmetric(self):
         g = Graph(6, RIGID_SIX_EDGES)
@@ -106,6 +128,21 @@ class TestGenerators:
         with pytest.raises(ValueError):
             path(0)
 
+    @pytest.mark.parametrize(
+        "make,args,message",
+        [
+            (complete, (0,), "complete graph needs n >= 1, got 0"),
+            (complete_bipartite, (0, 3), "part sizes must be >= 1, got (0, 3)"),
+            (complete_multipartite, ([],), "need at least one part"),
+            (complete_multipartite, ([2, 0],), "part sizes must be >= 1, got [2, 0]"),
+        ],
+        ids=["complete-0", "kbip-0-3", "kpartite-none", "kpartite-2-0"],
+    )
+    def test_empty_part_refused(self, make, args, message):
+        with pytest.raises(ValueError) as err:
+            make(*args)
+        assert str(err.value) == message
+
     @given(st.integers(min_value=1, max_value=30))
     def test_edge_count_closed_forms(self, n):
         assert path(n).m == n - 1
@@ -149,22 +186,15 @@ class TestEdgeListFormat:
         assert g == path(3)
 
     @pytest.mark.parametrize(
-        "text,line",
-        [
-            ("", 1),
-            ("2\n", 1),
-            ("2 1\n0 x\n", 2),
-            ("2 1\n0 0\n", 2),
-            ("2 1\n0 5\n", 2),
-            ("2 2\n0 1\n", 2),
-            ("2 1\n0 1\n1 0\n", 3),
-            ("2 2\n0 1\n1 0\n", 3),
-        ],
+        "text,line,message",
+        EDGE_LIST_ERRORS,
+        ids=[f"{text}-{line}" for text, line, _ in EDGE_LIST_ERRORS],
     )
-    def test_errors_carry_line_numbers(self, text, line):
+    def test_errors_carry_line_numbers(self, text, line, message):
         with pytest.raises(EdgeListParseError) as err:
             parse_edge_list(text)
         assert err.value.line_no == line
+        assert str(err.value) == f"line {line}: {message}"
 
 
 class TestVertexSet:
@@ -184,6 +214,11 @@ class TestVertexSet:
             VertexSet.from_indices(3, [3])
         with pytest.raises(ValueError):
             VertexSet(3, 1 << 3)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError) as err:
+            VertexSet(-1, 0)
+        assert str(err.value) == "vertex count must be >= 0, got -1"
 
     def test_mismatched_graph_rejected(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,8 @@ from chip_diffusion import (
     pq2,
     subsets_of_size,
 )
+import chip_diffusion
+from chip_diffusion import enumeration, quiescence
 from chip_diffusion.quiescence import _ccd_block, _count_planes
 
 import naive
@@ -377,3 +379,15 @@ class TestPq:
     def test_bad_cap(self):
         with pytest.raises(ValueError, match="max_steps"):
             pq(path(3), max_steps=0)
+
+
+@pytest.mark.parametrize(
+    "name", ["find_zero_not_zero2", "SearchWitness", "SearchStatus", "domination_number"]
+)
+def test_smallest_subset_scans_live_here(name):
+    # The package and the census driver re-export these; they are defined
+    # once, here, beside pq and pq2.
+    owned = getattr(quiescence, name)
+    assert getattr(chip_diffusion, name) is owned
+    if name != "domination_number":
+        assert getattr(enumeration, name) is owned
