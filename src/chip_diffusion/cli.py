@@ -16,28 +16,22 @@ from pathlib import Path
 from typing import Callable
 
 from . import enumeration, paths, quiescence
-from .engine import Configuration, _as_config, trace
+from .engine import Configuration, _as_config, _check_max_steps, _check_t_max, trace
 from .graphs import Graph, VertexSet, _read_edge_list, _read_graph_spec
 from .quiescence import UNKNOWN, ZeroStatus
 
 
-def _resolve_graph(source: str, check_order: Callable[[int], object]) -> Graph:
-    """An existing file is an edge list. Any other source containing ':' and
-    no path separator (a spec kind never has one) is a generator spec for
-    parse_graph_spec; anything else is read as a file, so a missing path
-    reports the missing file.
-
-    check_order is the command's own check of the order: a limit, or the
-    fit of a configuration or subset. It sees a spec's order, or an edge
-    list's n after the text is checked, before the Graph is built, so a
-    refused request fails without allocating n-long neighbour tables."""
+def _resolve_graph(source: str) -> tuple[int, Callable[[], Graph]]:
+    """(n, build): the source's order and a call that builds its Graph, so a
+    command checks its whole request on n and refuses it without allocating
+    n-long neighbour tables. An existing file is an edge list. Any other
+    source containing ':' and no path separator (a spec kind never has one)
+    is a generator spec for parse_graph_spec; anything else is read as a
+    file, so a missing path reports the missing file."""
     file = Path(source)
     if ":" in source and "/" not in source and os.sep not in source and not file.is_file():
-        n, build = _read_graph_spec(source)
-    else:
-        n, build = _read_edge_list(file.read_text())
-    check_order(n)
-    return build()
+        return _read_graph_spec(source)
+    return _read_edge_list(file.read_text())
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -69,11 +63,12 @@ def _write_csv(header: list[str], rows) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    g = _resolve_graph(args.graph, lambda n: _config(n, args.config))
-    c0 = _config(g.n, args.config)
-    rows = trace(g, c0, args.steps)
+    n, build = _resolve_graph(args.graph)
+    c0 = _config(n, args.config)
+    _check_t_max(args.steps)
+    rows = trace(build(), c0, args.steps)
     if args.format == "csv":
-        header = ["step"] + [f"v{i}" for i in range(g.n)]
+        header = ["step"] + [f"v{i}" for i in range(n)]
         _write_csv(header, ((step, *cfg) for step, cfg in enumerate(rows)))
     else:
         _emit_json(
@@ -88,11 +83,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
-    g = _resolve_graph(args.graph, lambda n: _subset(n, args.subset))
-    h = _subset(g.n, args.subset)
-    cfg = quiescence.perturb(g, h)
+    n, build = _resolve_graph(args.graph)
+    h = _subset(n, args.subset)
+    cfg = quiescence.perturb(build(), h)
     if args.format == "csv":
-        _write_csv([f"v{i}" for i in range(g.n)], [cfg])
+        _write_csv([f"v{i}" for i in range(n)], [cfg])
     else:
         _emit_json({"graph": args.graph, "subset": list(h.members), "config": list(cfg)})
     return 0
@@ -107,8 +102,10 @@ def _zero_json(outcome: quiescence.ZeroInvokingOutcome) -> dict:
 
 
 def _cmd_check(args) -> int:
-    g = _resolve_graph(args.graph, lambda n: _subset(n, args.subset))
-    h = _subset(g.n, args.subset)
+    n, build = _resolve_graph(args.graph)
+    h = _subset(n, args.subset)
+    _check_max_steps(args.max_steps)
+    g = build()
     outcome = quiescence.is_zero_invoking(g, h, args.max_steps)
     _emit_json(
         {
@@ -123,22 +120,26 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    g = _resolve_graph(args.graph, enumeration._check_countable)
+    n, build = _resolve_graph(args.graph)
+    quiescence._check_countable(n)
     include = not args.exclude_trivial
-    n = enumeration.count_zero2_subsets(g, include_trivial=include)
-    _emit_json({"graph": args.graph, "include_trivial": include, "count": n})
+    count = quiescence.count_zero2_subsets(build(), include_trivial=include)
+    _emit_json({"graph": args.graph, "include_trivial": include, "count": count})
     return 0
 
 
 def _cmd_pq2(args) -> int:
-    g = _resolve_graph(args.graph, quiescence._check_enumerable)
-    _emit_json({"graph": args.graph, "pq2": quiescence.pq2(g)})
+    n, build = _resolve_graph(args.graph)
+    quiescence._check_enumerable(n)
+    _emit_json({"graph": args.graph, "pq2": quiescence.pq2(build())})
     return 0
 
 
 def _cmd_pq(args) -> int:
-    g = _resolve_graph(args.graph, quiescence._check_enumerable)
-    result = quiescence.pq(g, args.max_steps)
+    n, build = _resolve_graph(args.graph)
+    quiescence._check_enumerable(n)
+    _check_max_steps(args.max_steps)
+    result = quiescence.pq(build(), args.max_steps)
     if result is UNKNOWN:
         _emit_json({"graph": args.graph, "pq": None, "status": "unknown"})
         return 1

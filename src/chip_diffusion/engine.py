@@ -111,6 +111,16 @@ class CapExceededError(RuntimeError):
 _WALK_ZERO, _WALK_CAP = 0, 3
 
 
+def _check_max_steps(max_steps: int) -> None:
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+
+
+def _check_t_max(t_max: int) -> None:
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+
+
 def _as_config(n: int, c: Sequence[int]) -> Configuration:
     t = tuple(c)
     if len(t) != n:
@@ -166,8 +176,7 @@ def is_zero_configuration(c: Sequence[int]) -> bool:
 def trace(g: Graph, c0: Sequence[int], t_max: int) -> list[Configuration]:
     """Configurations C_0..C_{t_max} under repeated firing."""
     c = _as_config(g.n, c0)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    _check_t_max(t_max)
     out = [c]
     for _ in range(t_max):
         c = fire(g, c)
@@ -218,8 +227,7 @@ def run(g: Graph, c0: Sequence[int], max_steps: int = DEFAULT_MAX_STEPS) -> Peri
     1 or 2, which by the period-{1,2} theorem is the true minimum period.
     Raises CapExceededError if max_steps firings pass without a repeat.
     """
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_max_steps(max_steps)
     k, kind, before, last = _walk(g.edges, _as_config(g.n, c0), max_steps, False)
     if kind == _WALK_CAP:
         raise CapExceededError(max_steps, (before, last))

@@ -1,4 +1,4 @@
-"""Exhaustive subset counts, and searches over all labelled graphs of a given order.
+"""The census: a search over all labelled graphs of a given order.
 
 Graph spaces are walked as edge masks over the C(n,2) vertex pairs in
 lexicographic order (bit i = i-th pair). Everything here is exact enumeration
@@ -9,10 +9,11 @@ Isomorphism, in the graph census: relabelling a graph by a permutation pi
 maps each subset H to pi(H), and the walk of H to the walk of pi(H) with
 its configurations relabelled. So the kind of verdict find_zero_not_zero2
 returns (NOT_FOUND, INCONCLUSIVE or a witness) is the same for isomorphic
-graphs, for every max_steps; its complement halving keeps this, since H and
-V-H share an outcome. Only which witness comes first in mask order depends on
-the labelling. So the census decides each isomorphism class once per search
-(canonical_edge_mask) and rescans each witness graph for its own first witness."""
+graphs, for every max_steps; its halving by the complement lemma (stated in
+quiescence) keeps this. Only which witness comes first in mask order depends
+on the labelling. So the census decides each isomorphism class once per
+search (canonical_edge_mask) and rescans each witness graph for its own first
+witness."""
 
 from __future__ import annotations
 
@@ -22,13 +23,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
 
-from .engine import DEFAULT_MAX_STEPS
+from .engine import DEFAULT_MAX_STEPS, _check_max_steps
 from .graphs import Graph, is_connected
-from .quiescence import SearchStatus, SearchWitness, _ccd_lower_half, find_zero_not_zero2
-
-# At the limit the count took 0.3 s for path:26 and 9-10 s for complete:26
-# (2-core Xeon, CPython 3.11, two runs); every extra vertex doubles it.
-EXHAUSTIVE_COUNT_LIMIT = 26
+# count_zero2_subsets is unused here; perfbench names it enumeration.count_zero2_subsets.
+from .quiescence import SearchStatus, SearchWitness, count_zero2_subsets, find_zero_not_zero2
 
 _CHUNK = 4096
 _CHECKPOINT_RE = re.compile(r"search (\d+) (\d+) ([01]) (\d+) (\d+)\n\1 (\d+)\n")
@@ -45,34 +43,6 @@ class SearchProgress:
     total: int
     witnesses: int
     inconclusive: int
-
-
-def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
-    """Number of subsets that restore zero at step 2, counted via the CCD
-    characterization (a structural check instead of two firings per subset).
-
-    Only masks below 2^(n-1) are checked and the count is doubled: CCD is
-    symmetric in H and V-H (swapping them swaps its two edge conditions), and
-    complementing maps the lower half of the masks onto the upper half. On
-    n = 0 the empty set is its own complement and is counted once.
-
-    include_trivial=False drops the empty set and the full vertex set.
-    """
-    _check_countable(g.n)
-    if g.n:
-        count = 2 * _ccd_lower_half(g)
-    else:
-        count = 1
-    if not include_trivial:
-        count -= len({0, g.full_mask})
-    return count
-
-
-def _check_countable(n: int) -> None:
-    if n > EXHAUSTIVE_COUNT_LIMIT:
-        raise ValueError(
-            f"exhaustive count supports up to {EXHAUSTIVE_COUNT_LIMIT} vertices, got {n}"
-        )
 
 
 def all_edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
@@ -258,8 +228,7 @@ def search_all_graphs(
         raise ValueError(f"n must be >= 0, got {n}")
     if n > 7:
         raise ValueError(f"graph census is 2^C(n,2), refusing n={n} > 7")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_max_steps(max_steps)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     total = 1 << (n * (n - 1) // 2)

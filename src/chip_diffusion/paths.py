@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import _check_countable, count_zero2_subsets
 from .graphs import path
-from .quiescence import _zero2_mask, pq2
+from .quiescence import _check_countable, _zero2_mask, count_zero2_subsets, pq2
 
 
 def _require_positive(n: int) -> None:

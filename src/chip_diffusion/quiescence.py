@@ -8,7 +8,7 @@ Diffusion firing. Every perturbation walk goes through _perturbation_walk:
 is_zero_invoking, the one smallest-subset scan behind pq and pq2, the step-2
 check behind is_zero2_invoking and paths.check_endpoint_lemma, and the
 witness search find_zero_not_zero2. Every scan bounded by ENUMERATION_LIMIT
-is here too.
+or EXHAUSTIVE_COUNT_LIMIT is here too.
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -20,6 +20,13 @@ Predicates:
   is_zero_invoking   -- zero again at any step; exact negatives come from
                         period detection (the zero configuration is fixed, so
                         a cycle entered without zero can never reach it)
+
+Complement lemma. Walk form: the perturbation of V-H is the negation of that
+of H (P = -L 1_H and L 1_V = 0), and fire(-c) = -fire(c), so the walks of H
+and V-H agree up to sign: same outcome, first zero step, cycle and cap
+status. CCD form: swapping H and V-H swaps CCD's two edge conditions, so both
+have the same verdict. Complementing maps the masks below 2^(n-1) onto the
+rest, so a scan over subsets may test only that lower half.
 """
 
 from __future__ import annotations
@@ -29,16 +36,19 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
-from .engine import _WALK_CAP, _WALK_ZERO, _walk
+from .engine import _WALK_CAP, _WALK_ZERO, _check_max_steps, _walk
 from .graphs import Graph, VertexSet, _check_set, _dominating_mask
 
-# The largest order that pq2, pq, domination_number and find_zero_not_zero2
-# accept; the CLI checks a source's order against it before building the graph.
-# It is what these scans accept, not an order whose scan is known to finish:
-# pq2 on paths took 0.15 s at n = 18, 1.24 s at 21 and 8.5 s at 24 (2-core
-# Xeon, CPython 3.11), about 7x per 3 vertices.
+# The largest orders that pq2, pq, domination_number and find_zero_not_zero2
+# (ENUMERATION_LIMIT) and count_zero2_subsets (EXHAUSTIVE_COUNT_LIMIT) accept;
+# the CLI checks a source's order against them before building the graph.
+# They are what these scans accept, not orders whose scan is known to finish
+# (2-core Xeon, CPython 3.11): pq2 on paths took 0.15 s at n = 18, 1.24 s at
+# 21 and 8.5 s at 24, about 7x per 3 vertices; the count took 0.3 s for
+# path:26 and 9-10 s for complete:26, and every extra vertex doubles it.
 ENUMERATION_LIMIT = 63
-# _ccd_lower_half tests 2^CCD_BLOCK_BITS subsets per _ccd_block call.
+EXHAUSTIVE_COUNT_LIMIT = 26
+# count_zero2_subsets tests 2^CCD_BLOCK_BITS subsets per _ccd_block call.
 # Counting path:22, cycle:20, kbip:10,10, path:26 and complete:22 in one
 # process (2-core Xeon, CPython 3.11, two runs) took 3.1-3.7 s at 10 bits,
 # 0.8-1.0 s at 14, 0.7-0.8 s at 16 and 0.7-0.8 s at 18, with peak RSS 16,
@@ -220,14 +230,34 @@ def _ccd_block(g: Graph, high: int, k: int, counts: dict[int, list[int]]) -> int
     return full & ~bad
 
 
-def _ccd_lower_half(g: Graph) -> int:
-    """The number of CCD masks below 2^(n-1), n >= 1: one _ccd_block call
-    per block of 2^k consecutive masks, k = min(CCD_BLOCK_BITS, n - 1), with
-    the count planes built once for all blocks."""
-    k = min(CCD_BLOCK_BITS, g.n - 1)
-    counts = _count_planes(g, k)
-    blocks = range(0, 1 << (g.n - 1), 1 << k)
-    return sum(_ccd_block(g, high, k, counts).bit_count() for high in blocks)
+def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
+    """Number of subsets that restore zero at step 2, counted via the CCD
+    characterization (a structural check instead of two firings per subset).
+
+    Only masks below 2^(n-1) are tested, one _ccd_block call per block of 2^k
+    consecutive masks, k = min(CCD_BLOCK_BITS, n - 1), with the count planes
+    built once for all blocks; the complement lemma (CCD form) doubles the
+    result. On n = 0 the empty set is its own complement and is counted once.
+
+    include_trivial=False drops the empty set and the full vertex set.
+    """
+    _check_countable(g.n)
+    count = 1
+    if g.n:
+        k = min(CCD_BLOCK_BITS, g.n - 1)
+        counts = _count_planes(g, k)
+        blocks = range(0, 1 << (g.n - 1), 1 << k)
+        count = 2 * sum(_ccd_block(g, high, k, counts).bit_count() for high in blocks)
+    if not include_trivial:
+        count -= len({0, g.full_mask})
+    return count
+
+
+def _check_countable(n: int) -> None:
+    if n > EXHAUSTIVE_COUNT_LIMIT:
+        raise ValueError(
+            f"exhaustive count supports up to {EXHAUSTIVE_COUNT_LIMIT} vertices, got {n}"
+        )
 
 
 def is_zero2_invoking(g: Graph, h: VertexSet) -> bool:
@@ -248,13 +278,8 @@ def is_zero_invoking(
     """Simulate the perturbation of h until zero recurs, a cycle rules it out,
     or max_steps step indices are exhausted."""
     _check_set(g, h)
-    return _zero_invoking_mask(g, h.mask, max_steps)
-
-
-def _zero_invoking_mask(g: Graph, mask: int, max_steps: int) -> ZeroInvokingOutcome:
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    t, kind, before, last = _perturbation_walk(g, mask, max_steps)
+    _check_max_steps(max_steps)
+    t, kind, before, last = _perturbation_walk(g, h.mask, max_steps)
     if kind == _WALK_CAP:
         return ZeroInvokingOutcome(ZeroStatus.CAP_EXCEEDED, step=None, report=None, trace_len=t)
     if kind == _WALK_ZERO:
@@ -276,7 +301,7 @@ def _perturbation_walk(g: Graph, mask: int, max_steps: int) -> tuple:
     Returns (t, kind, C_{t-1}, C_t) with kind as in engine._walk: t is the
     first all-zero step, the step that confirmed the cycle, or max_steps at
     the cap. t == 0 (kind _WALK_ZERO) marks a perturbation that moved no chip.
-    C_{t-1} is None when t <= 1. Callers check max_steps >= 1.
+    C_{t-1} is None when t <= 1. Callers check max_steps (_check_max_steps).
     """
     c = _perturb_mask(g, mask)
     if not any(c):
@@ -315,10 +340,9 @@ def _least_zero_size(g: Graph, max_steps: int) -> tuple[int, bool]:
     at max_steps, reaches zero, and whether a smaller subset hit the cap.
     Subsets go by ascending size, so the first witness ends the scan."""
     _check_enumerable(g.n)
+    _check_max_steps(max_steps)
     if g.n == 0:
         raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     smallest_capped = g.n + 1
     for k in range(1, g.n + 1):
         for mask in subsets_of_size(g.n, k):
@@ -366,18 +390,14 @@ def find_zero_not_zero2(
     Returns the first witness, NOT_FOUND after a clean exhaustive scan, or
     INCONCLUSIVE when some subset hit the step cap and none witnessed.
 
-    Only masks below 2^(n-1) are walked, by complement symmetry: the
-    perturbation of V-H is the negation of the perturbation of H, and firing
-    commutes with negation, fire(-c) = -fire(c), so the walks of H and V-H
-    agree up to sign (same outcome, same first zero step, same cycle, same
-    cap status). A witness or capped subset with bit n-1 set thus has a
-    complement of the same kind with a smaller mask, and the first witness
-    and the INCONCLUSIVE verdict are unchanged. Subsets whose perturbation
-    moves no chip are zero at step 0 and never witnesses.
+    Only masks below 2^(n-1) are walked: by the complement lemma (walk form),
+    a witness or capped subset with bit n-1 set has a complement of the same
+    kind with a smaller mask, so the first witness and the INCONCLUSIVE
+    verdict are unchanged. Subsets whose perturbation moves no chip are zero
+    at step 0 and never witnesses.
     """
     _check_enumerable(g.n)
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    _check_max_steps(max_steps)
     capped = False
     for mask in range((1 << g.n) >> 1):
         t, kind, _, _ = _perturbation_walk(g, mask, max_steps)

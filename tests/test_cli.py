@@ -283,14 +283,19 @@ class TestGraphSources:
             ),
             (["perturb", "--subset", "3000000"], "vertex 3000000 outside [0, 3000000)"),
             (["check", "--subset", "3000000"], "vertex 3000000 outside [0, 3000000)"),
+            (["check", "--subset", "0", "--max-steps", "0"], "max_steps must be >= 1, got 0"),
+            (
+                ["simulate", "--config", ",".join(["0"] * 3000000), "--steps", "-1"],
+                "t_max must be >= 0, got -1",
+            ),
         ],
-        ids=["simulate", "perturb", "check"],
+        ids=["simulate", "perturb", "check", "check-max-steps", "simulate-steps"],
     )
     def test_misfit_request_refused_before_any_graph(
         self, tmp_path, monkeypatch, capsys, argv, message
     ):
-        # A configuration or subset that cannot fit the source's order is
-        # refused on that order, before the Graph is built.
+        # A configuration or subset that cannot fit the source's order, or a
+        # step argument out of range, is refused before the Graph is built.
         graph_file = tmp_path / "big.edges"
         graph_file.write_text("3000000 0\n")
 
