@@ -5,10 +5,12 @@ neighbour, wealth rules suspended; afterwards ordinary Diffusion resumes.
 Step numbering follows the perturbation convention: step 0 is the all-zero
 start, step 1 the post-perturbation configuration, and each later step one
 Diffusion firing. Every perturbation walk goes through _perturbation_walk:
-is_zero_invoking, the one smallest-subset scan behind pq and pq2, the step-2
-check behind is_zero2_invoking and paths.check_endpoint_lemma, and the
-witness search find_zero_not_zero2. Every scan bounded by ENUMERATION_LIMIT
-or EXHAUSTIVE_COUNT_LIMIT is here too.
+is_zero_invoking, pq's smallest-subset scan, the step-2 check behind
+is_zero2_invoking and paths.check_endpoint_lemma, and the witness search
+find_zero_not_zero2. The CCD kernel _ccd_block serves is_ccd, the count and
+pq2, which rest on one fact: a subset is zero at step 2 exactly when it is
+CCD. Every scan bounded by ENUMERATION_LIMIT or EXHAUSTIVE_COUNT_LIMIT is
+here too.
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -43,12 +45,13 @@ from .graphs import Graph, VertexSet, _check_set, _dominating_mask
 # (ENUMERATION_LIMIT) and count_zero2_subsets (EXHAUSTIVE_COUNT_LIMIT) accept;
 # the CLI checks a source's order against them before building the graph.
 # They are what these scans accept, not orders whose scan is known to finish
-# (2-core Xeon, CPython 3.11): pq2 on paths took 0.15 s at n = 18, 1.24 s at
-# 21 and 8.5 s at 24, about 7x per 3 vertices; the count took 0.3 s for
+# (2-core Xeon, CPython 3.11): pq on paths took 0.5 s at n = 18, 4.2 s at 21
+# and 27 s at 24; pq2 took 0.4 s on path:26 but scans every block whose high
+# part is smaller than its answer (21 on path:63); the count took 0.3 s for
 # path:26 and 9-10 s for complete:26, and every extra vertex doubles it.
 ENUMERATION_LIMIT = 63
 EXHAUSTIVE_COUNT_LIMIT = 26
-# count_zero2_subsets tests 2^CCD_BLOCK_BITS subsets per _ccd_block call.
+# count_zero2_subsets and pq2 test 2^CCD_BLOCK_BITS subsets per _ccd_block call.
 # Counting path:22, cycle:20, kbip:10,10, path:26 and complete:22 in one
 # process (2-core Xeon, CPython 3.11, two runs) took 3.1-3.7 s at 10 bits,
 # 0.8-1.0 s at 14, 0.7-0.8 s at 16 and 0.7-0.8 s at 18, with peak RSS 16,
@@ -152,27 +155,26 @@ def _index_planes(k: int) -> tuple[int, ...]:
 _INDEX_PLANES = _index_planes(CCD_BLOCK_BITS)
 
 
+def _exact_planes(m: int, k: int) -> list[int]:
+    """Exact-count planes of a mask m of low vertices (m < 2^k): bit j of
+    plane c is set when exactly c vertices of m are in j. Adding a vertex with
+    index plane X moves each subset from count c to c + 1 where X is set."""
+    full = (1 << (1 << k)) - 1
+    exact = [full]
+    while m:
+        x = _INDEX_PLANES[(m & -m).bit_length() - 1] & full
+        m &= m - 1
+        nx = full ^ x
+        exact = [a & nx | b & x for a, b in zip(exact + [0], [0] + exact)]
+    return exact
+
+
 def _count_planes(g: Graph, k: int) -> dict[int, list[int]]:
     """The exact-count planes P_u of every vertex u with a neighbour among
     the k low vertices, as {u: P_u}: bit j of P_u[c] is set when exactly c of
-    those neighbours are in j. Adding a neighbour with index plane X moves
-    each subset from count c to c + 1 where X is set."""
-    masks, full = g.nbr_masks, (1 << (1 << k)) - 1
-    counts = {}
-    near = 0
-    for nbrs in masks[:k]:
-        near |= nbrs
-    while near:
-        u = (near & -near).bit_length() - 1
-        near &= near - 1
-        exact, m = [full], masks[u] & ((1 << k) - 1)
-        while m:
-            x = _INDEX_PLANES[(m & -m).bit_length() - 1] & full
-            m &= m - 1
-            nx = full ^ x
-            exact = [a & nx | b & x for a, b in zip(exact + [0], [0] + exact)]
-        counts[u] = exact
-    return counts
+    those neighbours are in j."""
+    low = (1 << k) - 1
+    return {u: _exact_planes(nbrs & low, k) for u, nbrs in enumerate(g.nbr_masks) if nbrs & low}
 
 
 def _ccd_block(g: Graph, high: int, k: int, counts: dict[int, list[int]]) -> int:
@@ -335,41 +337,59 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _least_zero_size(g: Graph, max_steps: int) -> tuple[int, bool]:
-    """The least size k of a nonempty subset whose perturbation walk, capped
-    at max_steps, reaches zero, and whether a smaller subset hit the cap.
-    Subsets go by ascending size, so the first witness ends the scan."""
+def pq2(g: Graph) -> int:
+    """Size of the smallest nonempty subset that is zero again at step 2.
+
+    Such a subset is exactly a CCD one, the fact the count rests on too, so
+    this scans _ccd_block blocks of k = min(CCD_BLOCK_BITS, n) low bits and
+    makes no walk. High parts go by ascending popcount p; the empty set, bit 0
+    of the p = 0 block, is cleared. A block's smallest subset has size p + c
+    for the least popcount plane c that meets it. Early stop: every mask in a
+    block has popcount >= p and later blocks never have a smaller p, so no
+    block with p >= best can lower best. best starts at n, since the full
+    vertex set is always CCD.
+    """
+    _check_enumerable(g.n)
+    _check_nonempty(g.n)
+    k = min(CCD_BLOCK_BITS, g.n)
+    counts, sizes = _count_planes(g, k), _exact_planes((1 << k) - 1, k)
+    best = g.n
+    for p in range(g.n - k + 1):
+        if p >= best:
+            break
+        for high in subsets_of_size(g.n - k, p):
+            block = _ccd_block(g, high << k, k, counts) & (-1 if high else -2)
+            for c, plane in enumerate(sizes[: best - p]):
+                if block & plane:
+                    best = p + c
+                    break
+    return best
+
+
+def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
+    """Size of the smallest nonempty zero-invoking subset, by walks capped at
+    max_steps over subsets of ascending size; the first witness ends the scan.
+
+    Returns UNKNOWN when some smaller subset hit the step cap before a
+    witness settled the minimum.
+    """
     _check_enumerable(g.n)
     _check_max_steps(max_steps)
-    if g.n == 0:
-        raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
+    _check_nonempty(g.n)
     smallest_capped = g.n + 1
     for k in range(1, g.n + 1):
         for mask in subsets_of_size(g.n, k):
             kind = _perturbation_walk(g, mask, max_steps)[1]
             if kind == _WALK_ZERO:
-                return k, smallest_capped < k
+                return UNKNOWN if smallest_capped < k else k
             if kind == _WALK_CAP:
                 smallest_capped = min(smallest_capped, k)
     raise AssertionError("unreachable: the full vertex set is always a witness")
 
 
-def pq2(g: Graph) -> int:
-    """Size of the smallest nonempty subset that is zero again at step 2:
-    pq's scan with the walk capped at step 2, which reaches zero exactly when
-    the subset is zero at step 2 (a no-op perturbation included), so caps are
-    ignored. Always defined: the full vertex set perturbs to a no-op."""
-    return _least_zero_size(g, 2)[0]
-
-
-def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
-    """Size of the smallest nonempty zero-invoking subset.
-
-    Returns UNKNOWN when some smaller subset hit the step cap before a
-    witness settled the minimum.
-    """
-    k, capped_below = _least_zero_size(g, max_steps)
-    return UNKNOWN if capped_below else k
+def _check_nonempty(n: int) -> None:
+    if n == 0:
+        raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
 
 
 def domination_number(g: Graph) -> int:

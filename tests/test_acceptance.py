@@ -185,7 +185,7 @@ def test_criterion_6_path_formulas():
         brute = count_zero2_subsets(path(n), include_trivial=True)
         if not (brute == j[n] == 2 * (fib[n - 1] + 1)):
             bad.append((n, brute, j[n], 2 * (fib[n - 1] + 1)))
-    for n in range(1, 19):
+    for n in range(1, 23):
         if pq2(path(n)) != -(-n // 3):
             bad.append(("pq2", n))
     elapsed = time.perf_counter() - t0

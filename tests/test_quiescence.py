@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from chip_diffusion import (
     complete_bipartite,
     complete_multipartite,
     components_within,
+    cycle,
     domination_number,
     graph_from_edge_mask,
     is_ccd,
@@ -31,7 +34,7 @@ from chip_diffusion import (
 )
 import chip_diffusion
 from chip_diffusion import enumeration, quiescence
-from chip_diffusion.quiescence import _ccd_block, _count_planes
+from chip_diffusion.quiescence import _ccd_block, _count_planes, _zero2_mask
 
 import naive
 from strategies import graphs, graphs_with_subset
@@ -340,6 +343,80 @@ class TestPq2:
                 )
             )
             assert pq2(g) == want, g.edges
+
+
+def firing_pq2(g):
+    """Smallest nonempty subset size that _zero2_mask fires back to zero at
+    step 2, by an ascending-size scan: the unpruned reference for pq2."""
+    return next(
+        k for k in range(1, g.n + 1) for m in subsets_of_size(g.n, k) if _zero2_mask(g, m)
+    )
+
+
+def sparse_connected(n, seed):
+    """A seeded random tree on n vertices plus three random extra edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n + 2:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return Graph(n, sorted(edges))
+
+
+class TestPq2BlockScan:
+    """pq2 scans CCD blocks; these check it against firing, subset by subset."""
+
+    def test_matches_firing_on_every_labelled_graph_n6(self):
+        for edge_mask in range(1 << 15):
+            g = graph_from_edge_mask(6, edge_mask)
+            assert pq2(g) == firing_pq2(g), g.edges
+
+    @given(graphs(max_n=9))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_firing_up_to_n9(self, g):
+        assert pq2(g) == firing_pq2(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [path(15), path(18), path(20), cycle(16), cycle(20), complete_bipartite(8, 8)]
+        + [sparse_connected(n, seed) for n, seed in [(15, 1), (16, 2), (20, 6)]],
+        ids=["path15", "path18", "path20", "cycle16", "cycle20", "kbip8,8",
+             "sparse15", "sparse16", "sparse20"],
+    )
+    def test_matches_firing_over_several_blocks(self, g):
+        # n > CCD_BLOCK_BITS, so the high parts of 1..6 vertices span many
+        # blocks. sparse15's only witness is the full vertex set.
+        assert g.n > quiescence.CCD_BLOCK_BITS
+        assert pq2(g) == firing_pq2(g)
+
+    @pytest.mark.parametrize("g", [complete(63), Graph(63)], ids=["complete63", "edgeless63"])
+    def test_order_63_stops_after_the_first_block(self, g):
+        # A single vertex is CCD on both, so the p = 0 block settles best = 1
+        # and p = 1 already stops the scan; without the stop there are 2^49
+        # blocks.
+        t0 = time.perf_counter()
+        assert pq2(g) == 1
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_one_block_call_when_the_first_block_decides(self, monkeypatch):
+        calls = []
+        real = quiescence._ccd_block
+
+        def counted(*args):
+            calls.append(args[1])  # high
+            return real(*args)
+
+        monkeypatch.setattr(quiescence, "_ccd_block", counted)
+        assert pq2(complete(63)) == 1
+        assert calls == [0]
+
+    def test_makes_no_perturbation_walk(self, monkeypatch, rigid_six):
+        def no_walk(*args):
+            raise AssertionError("pq2 walked a perturbation")
+
+        monkeypatch.setattr(quiescence, "_perturbation_walk", no_walk)
+        assert pq2(rigid_six) == 6
+        assert pq2(path(20)) == 7
+        assert pq2(complete_bipartite(8, 8)) == 2
 
 
 def naive_pq(g, cap):
