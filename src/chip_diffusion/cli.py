@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import enumeration, paths, quiescence
-from .engine import Configuration, _as_config, _check_max_steps, _check_t_max, trace
+from .engine import Configuration, _as_config, _check_max_steps, trace
 from .graphs import Graph, VertexSet, _read_edge_list, _read_graph_spec
 from .quiescence import UNKNOWN, ZeroStatus
 
@@ -65,7 +65,8 @@ def _write_csv(header: list[str], rows) -> None:
 def _cmd_simulate(args) -> int:
     n, build = _resolve_graph(args.graph)
     c0 = _config(n, args.config)
-    _check_t_max(args.steps)
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0, got {args.steps}")
     rows = trace(build(), c0, args.steps)
     if args.format == "csv":
         header = ["step"] + [f"v{i}" for i in range(n)]
@@ -148,6 +149,8 @@ def _cmd_pq(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     final = None
 
     def report(p: enumeration.SearchProgress) -> None:

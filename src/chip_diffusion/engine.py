@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import Graph
 
@@ -41,7 +41,9 @@ class Arrow(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Orientation:
-    """Per-edge arrow assignment; edge order matches Graph.edges."""
+    """Per-edge arrow assignment; edge order matches Graph.edges. The flow
+    rule: edge (a, b), a < b, carries a chip a -> b under TO_HIGHER, b -> a
+    under TO_LOWER and none when FLAT; only _flows reads arrows this way."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -59,23 +61,19 @@ class Orientation:
         except ValueError:
             raise ValueError(f"({u}, {v}) is not an edge") from None
 
-    def out_degree(self, v: int) -> int:
-        d = 0
+    def _flows(self) -> Iterator[tuple[int, int]]:
+        """(tail, head) of every edge that carries a chip, by the flow rule."""
         for (a, b), arrow in zip(self.edges, self.arrows):
-            if arrow is Arrow.TO_HIGHER and a == v:
-                d += 1
-            elif arrow is Arrow.TO_LOWER and b == v:
-                d += 1
-        return d
+            if arrow is Arrow.TO_HIGHER:
+                yield a, b
+            elif arrow is Arrow.TO_LOWER:
+                yield b, a
+
+    def out_degree(self, v: int) -> int:
+        return sum(tail == v for tail, _ in self._flows())
 
     def in_degree(self, v: int) -> int:
-        d = 0
-        for (a, b), arrow in zip(self.edges, self.arrows):
-            if arrow is Arrow.TO_HIGHER and b == v:
-                d += 1
-            elif arrow is Arrow.TO_LOWER and a == v:
-                d += 1
-        return d
+        return sum(head == v for _, head in self._flows())
 
 
 @dataclass(frozen=True)
@@ -114,11 +112,6 @@ _WALK_ZERO, _WALK_CAP = 0, 3
 def _check_max_steps(max_steps: int) -> None:
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-
-
-def _check_t_max(t_max: int) -> None:
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
 
 
 def _as_config(n: int, c: Sequence[int]) -> Configuration:
@@ -176,7 +169,8 @@ def is_zero_configuration(c: Sequence[int]) -> bool:
 def trace(g: Graph, c0: Sequence[int], t_max: int) -> list[Configuration]:
     """Configurations C_0..C_{t_max} under repeated firing."""
     c = _as_config(g.n, c0)
-    _check_t_max(t_max)
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
     out = [c]
     for _ in range(t_max):
         c = fire(g, c)
@@ -201,19 +195,16 @@ def induced_orientation(g: Graph, c: Sequence[int]) -> Orientation:
 def zero_preposition_from_orientation(g: Graph, r: Orientation) -> Configuration | None:
     """Reconstruct the unique configuration that induces r and fires to all-zero.
 
-    Each vertex must sit at (out-degree) - (in-degree) for the next firing to
-    zero it out; returns that candidate iff it actually induces r, else None.
+    Each vertex must sit at (out-degree) - (in-degree) under Orientation's flow
+    rule for the next firing to zero it out; returns that candidate iff it
+    actually induces r, else None.
     """
     if r.n != g.n or r.edges != g.edges:
         raise ValueError("orientation does not match the graph's edge set")
     stacks = [0] * g.n
-    for (u, v), arrow in zip(r.edges, r.arrows):
-        if arrow is Arrow.TO_HIGHER:
-            stacks[u] += 1
-            stacks[v] -= 1
-        elif arrow is Arrow.TO_LOWER:
-            stacks[v] += 1
-            stacks[u] -= 1
+    for tail, head in r._flows():
+        stacks[tail] += 1
+        stacks[head] -= 1
     candidate = tuple(stacks)
     if induced_orientation(g, candidate) != r:
         return None

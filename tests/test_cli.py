@@ -182,7 +182,8 @@ class TestSearch:
     def test_zero_threads_exits_one(self):
         result = run_cli("search", "--n", "3", "--threads", "0")
         assert result.returncode == 1
-        assert "workers" in result.stderr
+        assert result.stdout == ""
+        assert result.stderr == "error: --threads must be >= 1, got 0\n"
 
     def test_negative_n_exits_one(self):
         result = run_cli("search", "--n", "-1")
@@ -286,7 +287,7 @@ class TestGraphSources:
             (["check", "--subset", "0", "--max-steps", "0"], "max_steps must be >= 1, got 0"),
             (
                 ["simulate", "--config", ",".join(["0"] * 3000000), "--steps", "-1"],
-                "t_max must be >= 0, got -1",
+                "--steps must be >= 0, got -1",
             ),
         ],
         ids=["simulate", "perturb", "check", "check-max-steps", "simulate-steps"],

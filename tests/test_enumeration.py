@@ -234,6 +234,27 @@ class TestFindZeroNotZero2:
         with pytest.raises(AssertionError, match="CCD"):
             find_zero_not_zero2(path(3))
 
+    def test_witness_reports_graph_subset_step_and_note(self, monkeypatch):
+        # No small graph has a known witness, so this walker reports a first
+        # zero at step 3 for {0} on P4. {0} is not CCD (nonzero at step 2),
+        # so it passes the re-check. Every other mask walks for real.
+        real = quiescence._perturbation_walk
+
+        def late_zero_walk(g, mask, max_steps):
+            if mask != 0b0001:
+                return real(g, mask, max_steps)
+            return 3, _WALK_ZERO, None, (0, 0, 0, 0)
+
+        g = path(4)
+        assert not _ccd_mask(g, 0b0001)
+        monkeypatch.setattr(quiescence, "_perturbation_walk", late_zero_walk)
+        w = find_zero_not_zero2(g)
+        assert isinstance(w, SearchWitness)
+        assert w.graph is g
+        assert w.subset == VertexSet(4, 0b0001)
+        assert w.zero_step == 3
+        assert w.note == "zero restored at step 3, nonzero at step 2"
+
     @given(graphs(max_n=5))
     @settings(max_examples=60, deadline=None)
     def test_any_witness_reverifies(self, g):

@@ -1,6 +1,7 @@
 import pytest
 
 from chip_diffusion import (
+    PathTableMismatchError,
     check_endpoint_lemma,
     count_zero2_subsets,
     domination_number,
@@ -61,6 +62,17 @@ class TestEndpointRule:
         with pytest.raises(ValueError):
             check_endpoint_lemma(1)
 
+    @pytest.mark.parametrize(
+        "bad", [0b0011, 0b1011, 0b1101], ids=["both", "first-only", "last-only"]
+    )
+    def test_false_when_a_step2_subset_breaks_the_rule(self, monkeypatch, bad):
+        # P4 has no real counterexample, so a step-2 test that also accepts
+        # one subset breaking the rule at the first two vertices, the last
+        # two, or both must turn the verdict.
+        real = paths._zero2_mask
+        monkeypatch.setattr(paths, "_zero2_mask", lambda g, h: h == bad or real(g, h))
+        assert not check_endpoint_lemma(4)
+
 
 class TestPathTable:
     def test_first_two_rows(self):
@@ -82,6 +94,20 @@ class TestPathTable:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             path_table(0)
+
+    def test_count_disagreement_raises(self, monkeypatch):
+        real = paths.j_recurrence
+        monkeypatch.setattr(paths, "j_recurrence", lambda n: real(n) + (n == 3))
+        message = r"n=3: subset counts disagree \(brute=4, recurrence=5, fibonacci=4\)"
+        with pytest.raises(PathTableMismatchError, match=message):
+            path_table(5)
+
+    def test_pq2_disagreement_raises(self, monkeypatch):
+        real = paths.pq2_path_closed
+        monkeypatch.setattr(paths, "pq2_path_closed", lambda n: real(n) + (n == 4))
+        message = r"n=4: pq2 disagrees \(brute=2, closed=3\)"
+        with pytest.raises(PathTableMismatchError, match=message):
+            path_table(5)
 
     def test_uncountable_order_refused_before_any_row(self, monkeypatch):
         def no_rows(*args, **kwargs):
