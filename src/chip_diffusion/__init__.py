@@ -1,126 +1,11 @@
 """Diffusion chip-firing on graphs: simulation, perturbation quiescence, and
 exhaustive subset/graph searches."""
 
-from .engine import (
-    Arrow,
-    CapExceededError,
-    Configuration,
-    DEFAULT_MAX_STEPS,
-    Orientation,
-    PeriodReport,
-    fire,
-    induced_orientation,
-    is_zero_configuration,
-    run,
-    shift,
-    trace,
-    zero_preposition_from_orientation,
-)
-from .enumeration import (
-    all_graphs,
-    graph_from_edge_mask,
-    search_all_graphs,
-)
-from .graphs import (
-    EdgeListParseError,
-    Graph,
-    VertexSet,
-    complete,
-    complete_bipartite,
-    complete_multipartite,
-    components_within,
-    cycle,
-    degree_into,
-    is_connected,
-    is_dominating,
-    is_efficient_dominating,
-    is_independent,
-    is_minimal_dominating,
-    parse_edge_list,
-    parse_graph_spec,
-    path,
-)
-from .paths import (
-    PathReportRow,
-    PathTableMismatchError,
-    check_endpoint_lemma,
-    j_fibonacci,
-    j_recurrence,
-    path_table,
-    pq2_path_closed,
-)
-from .quiescence import (
-    UNKNOWN,
-    SearchStatus,
-    SearchWitness,
-    ZeroInvokingOutcome,
-    ZeroStatus,
-    count_zero2_subsets,
-    domination_number,
-    find_zero_not_zero2,
-    is_ccd,
-    is_zero2_invoking,
-    is_zero_invoking,
-    perturb,
-    pq,
-    pq2,
-    subsets_of_size,
-)
+from .engine import *
+from .enumeration import *
+from .graphs import *
+from .paths import *
+from .quiescence import *
 
-__all__ = [
-    "Arrow",
-    "CapExceededError",
-    "Configuration",
-    "DEFAULT_MAX_STEPS",
-    "EdgeListParseError",
-    "Graph",
-    "Orientation",
-    "PathReportRow",
-    "PathTableMismatchError",
-    "PeriodReport",
-    "SearchStatus",
-    "SearchWitness",
-    "UNKNOWN",
-    "VertexSet",
-    "ZeroInvokingOutcome",
-    "ZeroStatus",
-    "all_graphs",
-    "check_endpoint_lemma",
-    "complete",
-    "complete_bipartite",
-    "complete_multipartite",
-    "components_within",
-    "count_zero2_subsets",
-    "cycle",
-    "degree_into",
-    "domination_number",
-    "find_zero_not_zero2",
-    "fire",
-    "graph_from_edge_mask",
-    "induced_orientation",
-    "is_ccd",
-    "is_connected",
-    "is_dominating",
-    "is_efficient_dominating",
-    "is_independent",
-    "is_minimal_dominating",
-    "is_zero2_invoking",
-    "is_zero_configuration",
-    "is_zero_invoking",
-    "j_fibonacci",
-    "j_recurrence",
-    "parse_edge_list",
-    "parse_graph_spec",
-    "path",
-    "path_table",
-    "perturb",
-    "pq",
-    "pq2",
-    "pq2_path_closed",
-    "run",
-    "search_all_graphs",
-    "shift",
-    "subsets_of_size",
-    "trace",
-    "zero_preposition_from_orientation",
-]
+__all__ = (engine.__all__ + enumeration.__all__ + graphs.__all__
+           + paths.__all__ + quiescence.__all__)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import enumeration, paths, quiescence
-from .engine import Configuration, _as_config, _check_max_steps, trace
+from .engine import Configuration, _as_config, trace
 from .graphs import Graph, VertexSet, _read_edge_list, _read_graph_spec
 from .quiescence import UNKNOWN, ZeroStatus
 
@@ -52,6 +52,11 @@ def _config(n: int, text: str) -> Configuration:
     return _as_config(n, _parse_int_list(text, "config"))
 
 
+def _check_at_least(option: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{option} must be >= {least}, got {value}")
+
+
 def _emit_json(obj) -> None:
     print(json.dumps(obj))
 
@@ -65,8 +70,7 @@ def _write_csv(header: list[str], rows) -> None:
 def _cmd_simulate(args) -> int:
     n, build = _resolve_graph(args.graph)
     c0 = _config(n, args.config)
-    if args.steps < 0:
-        raise ValueError(f"--steps must be >= 0, got {args.steps}")
+    _check_at_least("--steps", args.steps, 0)
     rows = trace(build(), c0, args.steps)
     if args.format == "csv":
         header = ["step"] + [f"v{i}" for i in range(n)]
@@ -105,7 +109,7 @@ def _zero_json(outcome: quiescence.ZeroInvokingOutcome) -> dict:
 def _cmd_check(args) -> int:
     n, build = _resolve_graph(args.graph)
     h = _subset(n, args.subset)
-    _check_max_steps(args.max_steps)
+    _check_at_least("--max-steps", args.max_steps, 1)
     g = build()
     outcome = quiescence.is_zero_invoking(g, h, args.max_steps)
     _emit_json(
@@ -139,7 +143,7 @@ def _cmd_pq2(args) -> int:
 def _cmd_pq(args) -> int:
     n, build = _resolve_graph(args.graph)
     quiescence._check_enumerable(n)
-    _check_max_steps(args.max_steps)
+    _check_at_least("--max-steps", args.max_steps, 1)
     result = quiescence.pq(build(), args.max_steps)
     if result is UNKNOWN:
         _emit_json({"graph": args.graph, "pq": None, "status": "unknown"})
@@ -149,8 +153,8 @@ def _cmd_pq(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {args.threads}")
+    _check_at_least("--threads", args.threads, 1)
+    _check_at_least("--max-steps", args.max_steps, 1)
     final = None
 
     def report(p: enumeration.SearchProgress) -> None:

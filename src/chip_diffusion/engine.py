@@ -24,6 +24,22 @@ from typing import Iterator, Sequence
 
 from .graphs import Graph
 
+__all__ = [
+    "Arrow",
+    "CapExceededError",
+    "Configuration",
+    "DEFAULT_MAX_STEPS",
+    "Orientation",
+    "PeriodReport",
+    "fire",
+    "induced_orientation",
+    "is_zero_configuration",
+    "run",
+    "shift",
+    "trace",
+    "zero_preposition_from_orientation",
+]
+
 Configuration = tuple[int, ...]
 
 # Engineering guard, not a theoretical bound: preperiod lengths are unbounded

@@ -28,6 +28,12 @@ from .graphs import Graph, is_connected
 # count_zero2_subsets is unused here; perfbench names it enumeration.count_zero2_subsets.
 from .quiescence import SearchStatus, SearchWitness, count_zero2_subsets, find_zero_not_zero2
 
+__all__ = [
+    "all_graphs",
+    "graph_from_edge_mask",
+    "search_all_graphs",
+]
+
 _CHUNK = 4096
 _CHECKPOINT_RE = re.compile(r"search (\d+) (\d+) ([01]) (\d+) (\d+)\n\1 (\d+)\n")
 

@@ -11,6 +11,26 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
+__all__ = [
+    "EdgeListParseError",
+    "Graph",
+    "VertexSet",
+    "complete",
+    "complete_bipartite",
+    "complete_multipartite",
+    "components_within",
+    "cycle",
+    "degree_into",
+    "is_connected",
+    "is_dominating",
+    "is_efficient_dominating",
+    "is_independent",
+    "is_minimal_dominating",
+    "parse_edge_list",
+    "parse_graph_spec",
+    "path",
+]
+
 
 class EdgeListParseError(ValueError):
     """Raised for malformed edge-list text, with a 1-based line number."""

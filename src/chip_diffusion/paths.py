@@ -14,6 +14,16 @@ from dataclasses import dataclass
 from .graphs import path
 from .quiescence import _check_countable, _zero2_mask, count_zero2_subsets, pq2
 
+__all__ = [
+    "PathReportRow",
+    "PathTableMismatchError",
+    "check_endpoint_lemma",
+    "j_fibonacci",
+    "j_recurrence",
+    "path_table",
+    "pq2_path_closed",
+]
+
 
 def _require_positive(n: int) -> None:
     if n < 1:

@@ -29,6 +29,14 @@ and V-H agree up to sign: same outcome, first zero step, cycle and cap
 status. CCD form: swapping H and V-H swaps CCD's two edge conditions, so both
 have the same verdict. Complementing maps the masks below 2^(n-1) onto the
 rest, so a scan over subsets may test only that lower half.
+
+Period-2 lemma. A perturbation walk that never reaches zero ends in a
+2-cycle, never at a fixed point. P = -L 1_H sums to 0 on every component,
+and a firing keeps each component's sum. Let fire(c) = c. A vertex holding
+its component's maximum has no richer neighbour, so it gains no chip; as it
+keeps its stack, it has no poorer neighbour either. By connectivity the
+component is constant, and since its sum is 0, it is zero. So every
+PERIOD_WITHOUT_ZERO outcome has period 2.
 """
 
 from __future__ import annotations
@@ -40,6 +48,24 @@ from typing import Iterator
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
 from .engine import _WALK_CAP, _WALK_ZERO, _check_max_steps, _walk
 from .graphs import Graph, VertexSet, _check_set, _dominating_mask
+
+__all__ = [
+    "UNKNOWN",
+    "SearchStatus",
+    "SearchWitness",
+    "ZeroInvokingOutcome",
+    "ZeroStatus",
+    "count_zero2_subsets",
+    "domination_number",
+    "find_zero_not_zero2",
+    "is_ccd",
+    "is_zero2_invoking",
+    "is_zero_invoking",
+    "perturb",
+    "pq",
+    "pq2",
+    "subsets_of_size",
+]
 
 # The largest orders that pq2, pq, domination_number and find_zero_not_zero2
 # (ENUMERATION_LIMIT) and count_zero2_subsets (EXHAUSTIVE_COUNT_LIMIT) accept;

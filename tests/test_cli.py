@@ -154,7 +154,7 @@ class TestCountAndQuiescentNumbers:
         result = run_cli("pq", "--graph", "path:3", "--max-steps", "0")
         assert result.returncode == 1
         assert result.stdout == ""
-        assert "max_steps" in result.stderr
+        assert result.stderr == "error: --max-steps must be >= 1, got 0\n"
 
 
 class TestSearch:
@@ -177,7 +177,8 @@ class TestSearch:
     def test_zero_step_cap_exits_one(self):
         result = run_cli("search", "--n", "3", "--max-steps", "0")
         assert result.returncode == 1
-        assert "max_steps" in result.stderr
+        assert result.stdout == ""
+        assert result.stderr == "error: --max-steps must be >= 1, got 0\n"
 
     def test_zero_threads_exits_one(self):
         result = run_cli("search", "--n", "3", "--threads", "0")
@@ -284,7 +285,7 @@ class TestGraphSources:
             ),
             (["perturb", "--subset", "3000000"], "vertex 3000000 outside [0, 3000000)"),
             (["check", "--subset", "3000000"], "vertex 3000000 outside [0, 3000000)"),
-            (["check", "--subset", "0", "--max-steps", "0"], "max_steps must be >= 1, got 0"),
+            (["check", "--subset", "0", "--max-steps", "0"], "--max-steps must be >= 1, got 0"),
             (
                 ["simulate", "--config", ",".join(["0"] * 3000000), "--steps", "-1"],
                 "--steps must be >= 0, got -1",

@@ -456,6 +456,11 @@ class TestSearchAllGraphs:
         with pytest.raises(ValueError, match="n must be >= 0"):
             next(iter(search_all_graphs(-1)))
 
+    def test_refuses_zero_workers(self):
+        # The CLI refuses --threads 0 itself, so only a library call reaches this.
+        with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
+            next(iter(search_all_graphs(3, workers=0)))
+
     def test_checkpoint_interrupt_and_resume(self, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "_CHUNK", 8)
         ckpt = tmp_path / "scan.ckpt"

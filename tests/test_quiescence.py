@@ -12,6 +12,7 @@ from chip_diffusion import (
     Graph,
     VertexSet,
     ZeroStatus,
+    all_graphs,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -268,6 +269,20 @@ class TestZeroInvoking:
         if is_zero2_invoking(g, h):
             out = is_zero_invoking(g, h)
             assert out.reached_zero and out.step <= 2
+
+    def test_cycle_without_zero_has_period_two(self):
+        # Period-2 lemma (module docstring): the only fixed point a
+        # perturbation can reach is zero, so a walk that never returns to
+        # zero ends in a 2-cycle. Every labelled graph with n <= 5, every subset.
+        periods = [
+            out.report.period
+            for n in range(6)
+            for _, g in all_graphs(n)
+            for h in all_subsets(g)
+            if (out := is_zero_invoking(g, h)).status is ZeroStatus.PERIOD_WITHOUT_ZERO
+        ]
+        assert len(periods) == 24_492
+        assert set(periods) == {2}
 
     @given(graphs_with_subset(max_n=7))
     def test_period_without_zero_report_cycles(self, gs):
