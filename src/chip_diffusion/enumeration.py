@@ -11,12 +11,19 @@ its configurations relabelled. So the kind of verdict find_zero_not_zero2
 returns (NOT_FOUND, INCONCLUSIVE or a witness) is the same for isomorphic
 graphs, for every max_steps; its halving by the complement lemma (stated in
 quiescence) keeps this. Only which witness comes first in mask order depends
-on the labelling. So the census decides each isomorphism class once per
-search (canonical_edge_mask) and rescans each witness graph for its own first
-witness."""
+on the labelling.
+
+So the census computes no labelled graph's canonical form. It generates the
+isomorphism classes of the order by vertex extension (_classes), decides each
+class once, and expands only the witness and INCONCLUSIVE classes into their
+labelled graphs, the n! relabellings of the class's canonical graph
+(_relabellings). Every other edge mask is NOT_FOUND. Each witness graph is
+searched again for its own first witness."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import re
 from dataclasses import dataclass
@@ -65,21 +72,13 @@ def graph_from_edge_mask(
     return Graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
-def _labelled_graphs(
-    n: int, start: int, stop: int, connected_only: bool
-) -> Iterator[tuple[int, Graph]]:
-    """Labelled graphs on n vertices with edge masks in [start, stop), as
-    (edge_mask, Graph) in ascending mask order."""
+def all_graphs(n: int, connected_only: bool = False) -> Iterator[tuple[int, Graph]]:
+    """Every labelled graph on n vertices as (edge_mask, Graph), ascending mask."""
     pairs = all_edge_pairs(n)
-    for mask in range(start, stop):
+    for mask in range(1 << len(pairs)):
         g = graph_from_edge_mask(n, mask, pairs)
         if not connected_only or is_connected(g):
             yield mask, g
-
-
-def all_graphs(n: int, connected_only: bool = False) -> Iterator[tuple[int, Graph]]:
-    """Every labelled graph on n vertices as (edge_mask, Graph), ascending mask."""
-    return _labelled_graphs(n, 0, 1 << (n * (n - 1) // 2), connected_only)
 
 
 def canonical_edge_mask(g: Graph) -> int:
@@ -163,6 +162,50 @@ def _refine(nbrs: tuple[int, ...], cells: list[int]) -> list[int]:
         cells = split
 
 
+def _classes(n: int, connected_only: bool) -> list[int]:
+    """The isomorphism classes of graphs on n vertices, connected ones only
+    if connected_only, as ascending canonical edge masks.
+
+    Vertex extension (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 1998, in its simplest form): join a new vertex n-1 to each
+    neighbourhood in each class of order n-1, and keep the distinct canonical
+    forms. Deleting vertex n-1 from any graph on n >= 1 vertices leaves a
+    graph isomorphic to some class of order n-1, so every class is reached.
+    Connected: every connected graph on n >= 2 vertices has a non-cut vertex,
+    namely a leaf of a spanning tree. Labelled last, it leaves a connected
+    graph of order n-1 and has a nonempty neighbourhood. So extending only
+    connected classes, only by nonempty neighbourhoods, reaches every
+    connected class, and every graph it makes is connected."""
+    if n <= 1:
+        return [0]
+    forms = set()
+    for key in _classes(n - 1, connected_only):
+        edges = graph_from_edge_mask(n - 1, key).edges
+        for nbhd in range(1 if connected_only else 0, 1 << (n - 1)):
+            joins = [(v, n - 1) for v in range(n - 1) if nbhd >> v & 1]
+            forms.add(canonical_edge_mask(Graph(n, edges + tuple(joins))))
+    return sorted(forms)
+
+
+def _relabellings(n: int, keys: list[int]) -> Iterator[int]:
+    """Every edge mask on n vertices isomorphic to one of keys, the canonical
+    masks of distinct classes: the distinct images of each key under the n!
+    permutations of the vertices."""
+    if not keys:  # the usual case: build no permutation table
+        return
+    pairs = all_edge_pairs(n)
+    bit = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        bit[u][v] = bit[v][u] = 1 << i
+    perms = list(itertools.permutations(range(n)))
+    # images[i][j]: the bit of pair i under permutation j
+    images = [[bit[p[u]][p[v]] for p in perms] for u, v in pairs]
+    zero = [0] * len(perms)
+    for key in keys:
+        edges = [images[i] for i in range(len(pairs)) if key >> i & 1]
+        yield from set(map(sum, zip(zero, *edges)))
+
+
 def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tuple[int, int, int]:
     """(next edge mask, witnesses, inconclusive) recorded in the checkpoint of
     the search run = (n, max_steps, connected_only). A missing file is an
@@ -193,14 +236,10 @@ def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tupl
     return last + 1, witnesses, inconclusive
 
 
-def _scan_chunk(args: tuple) -> list[int | None]:
-    """The canonical edge mask of each labelled graph with edge mask in
-    [start, stop), in mask order; None where connected_only leaves it out."""
-    n, start, stop, connected_only = args
-    keys: list[int | None] = [None] * (stop - start)
-    for mask, g in _labelled_graphs(n, start, stop, connected_only):
-        keys[mask - start] = canonical_edge_mask(g)
-    return keys
+def _verdict(n: int, max_steps: int, key: int) -> SearchWitness | SearchStatus:
+    """The verdict on the class with canonical edge mask key. It is a
+    module-level function, so a process pool can send it to its workers."""
+    return find_zero_not_zero2(graph_from_edge_mask(n, key), max_steps)
 
 
 def search_all_graphs(
@@ -214,10 +253,14 @@ def search_all_graphs(
     workers: int = 1,
 ) -> Iterator[SearchWitness]:
     """Run find_zero_not_zero2 over every labelled graph on n vertices,
-    yielding witnesses in ascending edge-mask order. Workers only label the
-    graphs (_scan_chunk); this loop decides each isomorphism class once per
-    search, whatever the chunk size and worker count (module docstring).
-    Closing early lets running chunks finish: no worker is killed mid-send.
+    yielding witnesses in ascending edge-mask order. It decides each
+    isomorphism class once (module docstring), over a pool of
+    min(workers, classes) processes when that is more than one; the pool has
+    exited before the first chunk. Then it walks the edge masks in chunks: a
+    chunk's counts come from the relabellings of the witness and
+    INCONCLUSIVE classes that fall in it, and each witness mask is searched
+    again for its own first witness. When no class has either verdict, no
+    edge mask is built.
 
     The checkpoint holds one record, atomically replaced after every chunk and
     when the generator closes: "search n max_steps connected_only witnesses
@@ -258,29 +301,41 @@ def search_all_graphs(
         os.replace(tmp, ckpt_path)
 
     bounds = [(s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)]
-    args = [(n, s, e, connected_only) for s, e in bounds]
-    procs = min(workers, len(args))  # never more processes than chunks
-    pool = None
-    try:
-        if procs > 1:
-            import concurrent.futures
+    keys = _classes(n, connected_only) if bounds else []
+    decide = functools.partial(_verdict, n, max_steps)
+    procs = min(workers, len(keys))  # never more processes than classes
+    if procs > 1:
+        import concurrent.futures
 
-            pool = concurrent.futures.ProcessPoolExecutor(procs)
-            results = pool.map(_scan_chunk, args)
-        else:
-            results = map(_scan_chunk, args)
-        verdicts = {None: SearchStatus.NOT_FOUND}  # canonical mask -> verdict; None: left out
-        for (s, e), keys in zip(bounds, results):
-            for mask, key in enumerate(keys, s):
-                if key not in verdicts:
-                    verdicts[key] = find_zero_not_zero2(graph_from_edge_mask(n, key), max_steps)
-                res = verdicts[key]
-                if res is SearchStatus.INCONCLUSIVE:
-                    inconclusive += 1
-                elif isinstance(res, SearchWitness):
-                    witnesses += 1
-                    done = mask + 1
-                    yield find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
+        with concurrent.futures.ProcessPoolExecutor(procs) as pool:
+            verdicts = list(pool.map(decide, keys, chunksize=-(-len(keys) // (4 * procs))))
+    else:
+        verdicts = list(map(decide, keys))
+
+    # Chunk c holds the edge masks in bounds[c]; only masks >= start count.
+    found: dict[int, list[int]] = {}  # chunk -> its witness masks, ascending
+    witness_keys = [k for k, v in zip(keys, verdicts) if isinstance(v, SearchWitness)]
+    for mask in sorted(_relabellings(n, witness_keys)):
+        if mask >= start:
+            found.setdefault((mask - start) // _CHUNK, []).append(mask)
+    undecided = [0] * len(bounds)  # inconclusive masks per chunk
+    beside = {c: [] for c in found}  # inconclusive masks in chunks with a witness
+    undecided_keys = [k for k, v in zip(keys, verdicts) if v is SearchStatus.INCONCLUSIVE]
+    for mask in _relabellings(n, undecided_keys):
+        if mask >= start:
+            c = (mask - start) // _CHUNK
+            undecided[c] += 1
+            if c in beside:
+                beside[c].append(mask)
+    try:
+        for c, (_, e) in enumerate(bounds):
+            before = inconclusive
+            for mask in found.get(c, ()):
+                inconclusive = before + sum(m < mask for m in beside[c])
+                witnesses += 1
+                done = mask + 1
+                yield find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
+            inconclusive = before + undecided[c]
             done = e
             if ckpt_path is not None:
                 save()
@@ -290,7 +345,5 @@ def search_all_graphs(
         if not bounds and reporter is not None:
             reporter(SearchProgress(n, done, total, witnesses, inconclusive))
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         if ckpt_path is not None and done != saved:
             save()

@@ -170,6 +170,17 @@ class TestSearch:
         assert result.returncode == 0
         assert ckpt.read_text().strip().splitlines()[-1] == "3 7"
 
+    def test_connected_order_seven_has_no_witness(self, tmp_path):
+        # The exhaustive census of all 2,097,152 labelled graphs on 7 vertices
+        # at the default cap: no connected one has a subset that returns to
+        # zero after step 2, and none is left undecided.
+        ckpt = tmp_path / "scan7.ckpt"
+        result = run_cli("search", "--n", "7", "--connected-only", "--checkpoint", str(ckpt))
+        assert result.returncode == 0
+        assert result.stdout == ""
+        assert result.stderr == "search done: 0 witnesses, 0 inconclusive\n"
+        assert ckpt.read_text().endswith("\n7 2097151\n")
+
     def test_progress_lines(self):
         result = run_cli("search", "--n", "3", "--progress")
         assert "progress:" in result.stderr

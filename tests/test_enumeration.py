@@ -23,6 +23,7 @@ from chip_diffusion import (
     find_zero_not_zero2,
     graph_from_edge_mask,
     is_ccd,
+    is_connected,
     is_zero2_invoking,
     is_zero_invoking,
     parse_graph_spec,
@@ -41,9 +42,9 @@ from chip_diffusion.quiescence import _ccd_mask, _zero2_mask
 import naive
 from strategies import graphs
 
-# Labelled connected graph counts for n = 1..5, derived by the brute-force
-# connectivity scan below (test_connected_counts re-derives them).
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}
+# Labelled connected graph counts (OEIS A001187) for n = 0..6;
+# test_connected_counts re-derives them by a brute-force connectivity scan.
+CONNECTED_COUNTS = {0: 1, 1: 1, 2: 1, 3: 4, 4: 38, 5: 728, 6: 26_704}
 
 
 def four_block_graph():
@@ -337,8 +338,8 @@ class TestIsomorphismCache:
         assert [p.inconclusive for p in events] == list(itertools.accumulate(undecided))
 
     def test_one_search_per_class_per_search(self, monkeypatch):
-        # The searches run in the driver, so the stub also sees them when a
-        # real pool of two workers labels the chunks.
+        # Searches inside worker processes do not reach this stub, so it counts
+        # with one worker; two workers must give the same output.
         calls = []
 
         def counting_find(g, max_steps):
@@ -350,10 +351,35 @@ class TestIsomorphismCache:
         assert len(calls) == len(set(calls)) == 21  # connected classes at n = 5 (OEIS A001349)
         for chunk in (4096, 128):
             monkeypatch.setattr(enumeration, "_CHUNK", chunk)
+            runs = []
             for workers in (1, 2):
                 calls.clear()
-                list(search_all_graphs(5, workers=workers))
-                assert len(calls) == len(set(calls)) == 34, (chunk, workers)  # OEIS A000088
+                events = []
+                found = list(search_all_graphs(5, 2, events.append, workers=workers))
+                runs.append((found, events))
+                if workers == 1:
+                    assert len(calls) == len(set(calls)) == 34, chunk  # OEIS A000088
+            assert runs[0] == runs[1]
+            assert runs[0][1][-1] == SearchProgress(5, 1024, 1024, 0, 972)
+
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (["--connected-only", "--max-steps", "1"], SearchProgress(6, 32768, 32768, 0, 26704)),
+            (["--max-steps", "2"], SearchProgress(6, 32768, 32768, 0, 32565)),
+        ],
+        ids=["connected-cap-1", "all-cap-2"],
+    )
+    def test_inconclusive_classes_at_order_six(self, capsys, argv, want):
+        # Every connected graph is INCONCLUSIVE at cap 1, so every connected
+        # class is expanded; the totals were measured by labelling every graph.
+        events = []
+        cap = int(argv[-1])
+        list(search_all_graphs(6, cap, events.append, connected_only="--connected-only" in argv))
+        assert events[-1] == want
+        assert cli.main(["search", "--n", "6", *argv]) == 1
+        done = f"search done: 0 witnesses, {want.inconclusive} inconclusive\n"
+        assert capsys.readouterr() == ("", done)
 
 
 class TestGraphCensus:
@@ -385,9 +411,9 @@ class TestGraphCensus:
         assert canonical_edge_mask(g) != canonical_edge_mask(complete(4))
 
 
-# Unlabelled graphs (OEIS A000088) and connected ones (A001349), n = 0..6.
-GRAPH_CLASSES = (1, 1, 2, 4, 11, 34, 156)
-CONNECTED_CLASSES = (1, 1, 1, 2, 6, 21, 112)
+# Unlabelled graphs (OEIS A000088) and connected ones (A001349), n = 0..7.
+GRAPH_CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044)
+CONNECTED_CLASSES = (1, 1, 1, 2, 6, 21, 112, 853)
 
 
 class TestCanonicalForm:
@@ -426,6 +452,25 @@ class TestCanonicalForm:
         # The form is the edge mask of a relabelling of g, so it is its own form.
         assert canonical_edge_mask(graph_from_edge_mask(g.n, form)) == form
         assert bin(form).count("1") == g.m
+
+
+class TestClassSource:
+    """The census generates isomorphism classes by vertex extension and
+    expands them by relabelling (enumeration._classes, _relabellings)."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_class_counts_match_oeis(self, n):
+        got = (len(enumeration._classes(n, False)), len(enumeration._classes(n, True)))
+        assert got == (GRAPH_CLASSES[n], CONNECTED_CLASSES[n])
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_relabellings_cover_every_labelled_graph_once(self, n):
+        everything = list(enumeration._relabellings(n, enumeration._classes(n, False)))
+        assert len(everything) == len(set(everything)) == 1 << (n * (n - 1) // 2)
+        connected = list(enumeration._relabellings(n, enumeration._classes(n, True)))
+        assert len(connected) == len(set(connected)) == CONNECTED_COUNTS[n]
+        pairs = all_edge_pairs(n)
+        assert all(is_connected(graph_from_edge_mask(n, m, pairs)) for m in connected)
 
 
 class _Interrupt(Exception):
@@ -566,22 +611,27 @@ class TestSearchAllGraphs:
 
     @pytest.mark.parametrize(
         "chunk,workers,want",
-        [(4096, 8, []), (128, 64, [8]), (128, 2, [2])],
+        [(4096, 8, [8]), (128, 64, [34]), (128, 2, [2])],
     )
     def test_pool_sized_by_chunks(self, monkeypatch, chunk, workers, want):
-        # A stub pool records the size asked for and scans in-process, so no
-        # test here starts real workers. n = 5 has 1,024 edge masks.
+        # The pool decides the 34 classes at n = 5, so it is sized by
+        # min(workers, classes) whatever the chunk size. A stub pool records
+        # the size asked for and decides in-process, so no test here starts
+        # real workers. n = 5 has 1,024 edge masks.
         sizes = []
 
         class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def map(self, func, iterable):
-                return map(func, iterable)
+            def __enter__(self):
+                return self
 
-            def shutdown(self, cancel_futures):
+            def __exit__(self, *exc):
                 pass
+
+            def map(self, func, iterable, chunksize=1):
+                return map(func, iterable)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(enumeration, "_CHUNK", chunk)
@@ -631,18 +681,25 @@ class TestSearchAllGraphs:
             assert capsys.readouterr() == ("", want_err)
 
     def test_close_lets_workers_exit(self, monkeypatch):
-        # Closing mid-scan waits for the workers to exit rather than killing
-        # them: a worker killed while sending a chunk can leave the result
-        # queue's lock held, and the close then blocks for good.
+        # The classes are decided before the first chunk, and the pool's
+        # workers have exited by then, each with code 0: none is left alive
+        # when the scan closes early, and none was killed.
         monkeypatch.setattr(enumeration, "_CHUNK", 16)
-        workers = []
+        workers, alive = [], []
+
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                workers.extend(self._processes.values())
+                super().shutdown(*args, **kwargs)
 
         def stop(p: SearchProgress):
-            workers.extend(multiprocessing.active_children())
+            alive.extend(multiprocessing.active_children())
             raise _Interrupt
 
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         with pytest.raises(_Interrupt):
             list(search_all_graphs(5, 2, stop, workers=4))
+        assert alive == []
         assert len(workers) == 4
         assert [w.exitcode for w in workers] == [0] * 4
 
@@ -654,9 +711,9 @@ class TestSearchAllGraphs:
         assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 5), (4, 6)]
 
     def test_witness_through_worker_pool(self, monkeypatch):
-        # Four chunks of two edge masks, so two real worker processes label
-        # the graphs while the driver searches them; the fabricated witnesses
-        # equal the serial run's.
+        # Two real worker processes decide the four classes at n = 3. They
+        # are forked after the patch, so they give the fabricated verdicts too;
+        # the witnesses, found in chunks of two edge masks, equal the serial run's.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         monkeypatch.setattr(enumeration, "_CHUNK", 2)
         runs = []
@@ -687,6 +744,33 @@ class TestSearchAllGraphs:
         resumed = list(search_all_graphs(3, reporter=events.append, checkpoint=ckpt, resume=True))
         assert partial + resumed == full
         assert events[-1] == want
+
+    def test_close_after_each_witness_counts_only_masks_below(self, tmp_path, monkeypatch):
+        # Chunks of eight edge masks at n = 4. In the first, the witness at
+        # mask 3 has the inconclusive masks 1 and 2 below it and 4 above. A
+        # close right after a witness records the witnesses up to it and the
+        # inconclusive masks below it, and a resume then ends as a full run.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        monkeypatch.setattr(enumeration, "_CHUNK", 8)
+        events = []
+        full = list(search_all_graphs(4, reporter=events.append))
+        want = events[-1]
+        masks = [m for m in range(64) if bin(m).count("1") == 2]
+        assert [w.graph for w in full] == [graph_from_edge_mask(4, m) for m in masks]
+        assert want == SearchProgress(4, 64, 64, 15, 6)
+        for k, witness in enumerate(masks, 1):
+            ckpt = tmp_path / f"after{k}.ckpt"
+            stream = search_all_graphs(4, checkpoint=ckpt)
+            partial = [next(stream) for _ in range(k)]
+            stream.close()
+            below = sum(bin(m).count("1") == 1 for m in range(witness))
+            assert ckpt.read_text() == f"search 4 {DEFAULT_MAX_STEPS} 0 {k} {below}\n4 {witness}\n"
+            events = []
+            resumed = list(
+                search_all_graphs(4, reporter=events.append, checkpoint=ckpt, resume=True)
+            )
+            assert partial + resumed == full
+            assert events[-1] == want
 
 
 def _fake_find(g, max_steps=0):
