@@ -64,6 +64,7 @@ def check_endpoint_lemma(n: int) -> bool:
     """
     if n < 2:
         raise ValueError(f"endpoint rule needs n >= 2, got {n}")
+    _check_countable(n)
     g = path(n)
     full = g.full_mask
     for h in range(1, full):  # proper and nontrivial only

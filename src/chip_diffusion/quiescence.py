@@ -5,12 +5,12 @@ neighbour, wealth rules suspended; afterwards ordinary Diffusion resumes.
 Step numbering follows the perturbation convention: step 0 is the all-zero
 start, step 1 the post-perturbation configuration, and each later step one
 Diffusion firing. Every perturbation walk goes through _perturbation_walk:
-is_zero_invoking, pq's smallest-subset scan, the step-2 check behind
-is_zero2_invoking and paths.check_endpoint_lemma, and the witness search
-find_zero_not_zero2. The CCD kernel _ccd_block serves is_ccd, the count and
-pq2, which rest on one fact: a subset is zero at step 2 exactly when it is
-CCD. Every scan bounded by ENUMERATION_LIMIT or EXHAUSTIVE_COUNT_LIMIT is
-here too.
+is_zero_invoking, the step-2 check behind is_zero2_invoking and
+paths.check_endpoint_lemma, and the one witness scan _first_witness, which
+serves find_zero_not_zero2 and pq. The CCD kernel _ccd_block serves is_ccd,
+the count and pq2, which rest on one fact: a subset is zero at step 2 exactly
+when it is CCD. So pq is pq2 unless a witness lies below it (see pq). Every
+scan bounded by ENUMERATION_LIMIT or EXHAUSTIVE_COUNT_LIMIT is here too.
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
 from .engine import _WALK_CAP, _WALK_ZERO, _check_max_steps, _walk
@@ -71,10 +71,10 @@ __all__ = [
 # (ENUMERATION_LIMIT) and count_zero2_subsets (EXHAUSTIVE_COUNT_LIMIT) accept;
 # the CLI checks a source's order against them before building the graph.
 # They are what these scans accept, not orders whose scan is known to finish
-# (2-core Xeon, CPython 3.11): pq on paths took 0.5 s at n = 18, 4.2 s at 21
-# and 27 s at 24; pq2 took 0.4 s on path:26 but scans every block whose high
-# part is smaller than its answer (21 on path:63); the count took 0.3 s for
-# path:26 and 9-10 s for complete:26, and every extra vertex doubles it.
+# (2-core Xeon, CPython 3.11): pq, which walks every subset below pq2, took
+# 0.2, 1.9 and 12 s on path:18, 21 and 24; pq2 took 0.4 s on path:26 but scans
+# every block whose high part is smaller than its answer (21 on path:63); the
+# count took 0.3 s for path:26 and 9-10 s for complete:26, doubling per vertex.
 ENUMERATION_LIMIT = 63
 EXHAUSTIVE_COUNT_LIMIT = 26
 # count_zero2_subsets and pq2 test 2^CCD_BLOCK_BITS subsets per _ccd_block call.
@@ -339,6 +339,23 @@ def _perturbation_walk(g: Graph, mask: int, max_steps: int) -> tuple:
     return k + 1, kind, before, last
 
 
+def _first_witness(g: Graph, masks: Iterable[int], max_steps: int) -> tuple:
+    """The witness scan of find_zero_not_zero2 and pq: walk masks in order and
+    return (the first (mask, zero step >= 3) or None, whether any walk capped).
+    Each witness is re-checked by the CCD test, which holds exactly when step
+    2 is zero and shares no code with the walk."""
+    capped = False
+    for mask in masks:
+        t, kind, _, _ = _perturbation_walk(g, mask, max_steps)
+        if kind == _WALK_CAP:
+            capped = True
+        elif kind == _WALK_ZERO and t >= 3:
+            if _ccd_mask(g, mask):
+                raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
+            return (mask, t), capped
+    return None, capped
+
+
 def subsets_of_size(n: int, k: int) -> Iterator[int]:
     """All n-bit masks with exactly k bits set, in increasing numeric order
     (Gosper's hack)."""
@@ -376,7 +393,8 @@ def pq2(g: Graph) -> int:
     vertex set is always CCD.
     """
     _check_enumerable(g.n)
-    _check_nonempty(g.n)
+    if g.n == 0:
+        raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
     k = min(CCD_BLOCK_BITS, g.n)
     counts, sizes = _count_planes(g, k), _exact_planes((1 << k) - 1, k)
     best = g.n
@@ -393,29 +411,23 @@ def pq2(g: Graph) -> int:
 
 
 def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
-    """Size of the smallest nonempty zero-invoking subset, by walks capped at
-    max_steps over subsets of ascending size; the first witness ends the scan.
-
-    Returns UNKNOWN when some smaller subset hit the step cap before a
-    witness settled the minimum.
+    """Size of the smallest nonempty zero-invoking subset: pq2, unless a
+    smaller witness exists. Lemma: every CCD subset is zero at step 2, so
+    pq <= pq2. A nonempty subset smaller than pq2 is not CCD (nor a no-op,
+    which is CCD), so it is nonzero at steps 1 and 2: if zero-invoking, it is
+    a witness. So only sizes 1 .. pq2 - 1 are walked, ascending, by the
+    witness scan. UNKNOWN when a size below the answer had a capped subset;
+    pq2 = 1 is exact at any cap.
     """
     _check_enumerable(g.n)
     _check_max_steps(max_steps)
-    _check_nonempty(g.n)
-    smallest_capped = g.n + 1
-    for k in range(1, g.n + 1):
-        for mask in subsets_of_size(g.n, k):
-            kind = _perturbation_walk(g, mask, max_steps)[1]
-            if kind == _WALK_ZERO:
-                return UNKNOWN if smallest_capped < k else k
-            if kind == _WALK_CAP:
-                smallest_capped = min(smallest_capped, k)
-    raise AssertionError("unreachable: the full vertex set is always a witness")
-
-
-def _check_nonempty(n: int) -> None:
-    if n == 0:
-        raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
+    best, capped_below = pq2(g), False
+    for k in range(1, best):
+        witness, capped = _first_witness(g, subsets_of_size(g.n, k), max_steps)
+        if witness:
+            return UNKNOWN if capped_below else k
+        capped_below = capped_below or capped
+    return UNKNOWN if capped_below else best
 
 
 def domination_number(g: Graph) -> int:
@@ -430,11 +442,10 @@ def domination_number(g: Graph) -> int:
 def find_zero_not_zero2(
     g: Graph, max_steps: int = DEFAULT_MAX_STEPS
 ) -> SearchWitness | SearchStatus:
-    """Scan all subsets in ascending mask order for one that is zero-invoking
-    but not zero at step 2.
-
-    Returns the first witness, NOT_FOUND after a clean exhaustive scan, or
-    INCONCLUSIVE when some subset hit the step cap and none witnessed.
+    """Scan all subsets in ascending mask order, by the witness scan, for one
+    that is zero-invoking but not zero at step 2. Returns the first witness,
+    NOT_FOUND after a clean exhaustive scan, or INCONCLUSIVE when some subset
+    hit the step cap and none witnessed.
 
     Only masks below 2^(n-1) are walked: by the complement lemma (walk form),
     a witness or capped subset with bit n-1 set has a complement of the same
@@ -444,22 +455,9 @@ def find_zero_not_zero2(
     """
     _check_enumerable(g.n)
     _check_max_steps(max_steps)
-    capped = False
-    for mask in range((1 << g.n) >> 1):
-        t, kind, _, _ = _perturbation_walk(g, mask, max_steps)
-        if kind == _WALK_CAP:
-            capped = True
-        elif kind == _WALK_ZERO and t >= 3:
-            # Zero first recurs after step 2, so the step-2 configuration is
-            # nonzero. Re-check before reporting with the structural CCD test,
-            # which holds exactly when step 2 is zero and shares no code with
-            # the walk.
-            if _ccd_mask(g, mask):
-                raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
-            return SearchWitness(
-                graph=g,
-                subset=VertexSet(g.n, mask),
-                zero_step=t,
-                note=f"zero restored at step {t}, nonzero at step 2",
-            )
+    witness, capped = _first_witness(g, range((1 << g.n) >> 1), max_steps)
+    if witness:
+        mask, t = witness
+        note = f"zero restored at step {t}, nonzero at step 2"
+        return SearchWitness(g, VertexSet(g.n, mask), t, note)
     return SearchStatus.INCONCLUSIVE if capped else SearchStatus.NOT_FOUND

@@ -146,9 +146,15 @@ class TestCountAndQuiescentNumbers:
         assert payload == {"graph": "path:7", "pq": 3, "status": "ok"}
 
     def test_pq_unknown_under_tiny_cap(self):
-        result = run_cli("pq", "--graph", "path:3", "--max-steps", "1")
+        result = run_cli("pq", "--graph", "path:4", "--max-steps", "1")
         assert result.returncode == 1
         assert json.loads(result.stdout)["status"] == "unknown"
+
+    def test_pq_exact_under_tiny_cap_when_pq2_is_one(self):
+        # pq2(P3) = 1 is exact, and no smaller subset exists to walk.
+        result = run_cli("pq", "--graph", "path:3", "--max-steps", "1")
+        assert result.returncode == 0
+        assert json.loads(result.stdout) == {"graph": "path:3", "pq": 1, "status": "ok"}
 
     def test_pq_zero_step_cap_exits_one(self):
         result = run_cli("pq", "--graph", "path:3", "--max-steps", "0")

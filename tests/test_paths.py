@@ -62,6 +62,20 @@ class TestEndpointRule:
         with pytest.raises(ValueError):
             check_endpoint_lemma(1)
 
+    def test_refuses_orders_above_the_count_limit_before_scanning(self, monkeypatch):
+        # The rule fires all 2^n masks of P_n, so it takes the exhaustive
+        # count's limit: 27 is refused before the path is built, and 26
+        # (stopped here at the build) is accepted.
+        def no_build(n):
+            raise LookupError(f"built path:{n}")
+
+        monkeypatch.setattr(paths, "path", no_build)
+        with pytest.raises(ValueError) as err:
+            check_endpoint_lemma(27)
+        assert str(err.value) == "exhaustive count supports up to 26 vertices, got 27"
+        with pytest.raises(LookupError, match="built path:26"):
+            check_endpoint_lemma(26)
+
     @pytest.mark.parametrize(
         "bad", [0b0011, 0b1011, 0b1101], ids=["both", "first-only", "last-only"]
     )

@@ -35,7 +35,8 @@ from chip_diffusion import (
 )
 import chip_diffusion
 from chip_diffusion import enumeration, quiescence
-from chip_diffusion.quiescence import _ccd_block, _count_planes, _zero2_mask
+from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
+from chip_diffusion.quiescence import _ccd_block, _ccd_mask, _count_planes, _zero2_mask
 
 import naive
 from strategies import graphs, graphs_with_subset
@@ -436,14 +437,19 @@ class TestPq2BlockScan:
 
 def naive_pq(g, cap):
     """Smallest nonempty zero-invoking subset size from the dict-based oracle,
-    UNKNOWN if some smaller size had a capped subset."""
+    UNKNOWN if some smaller size had a capped subset. A subset the oracle fires
+    to zero at step 2 counts as zero-invoking at every cap, as pq takes pq2
+    from the CCD kernel without a walk; that changes nothing at caps >= 2."""
     adj = naive.adjacency(g.n, g.edges)
+
+    def kind(subset):
+        if naive.zero2_invoking(adj, subset):
+            return "reached_zero"
+        return naive.zero_invoking_outcome(adj, subset, cap)[0]
+
     capped_below = False
     for k in range(1, g.n + 1):
-        kinds = {
-            naive.zero_invoking_outcome(adj, set(c), cap)[0]
-            for c in itertools.combinations(range(g.n), k)
-        }
+        kinds = {kind(set(c)) for c in itertools.combinations(range(g.n), k)}
         if "reached_zero" in kinds:
             return UNKNOWN if capped_below else k
         capped_below = capped_below or "cap_exceeded" in kinds
@@ -466,7 +472,65 @@ class TestPq:
         assert result <= pq2(rigid_six)
 
     def test_unknown_under_tiny_cap(self):
-        assert pq(path(3), max_steps=1) is UNKNOWN
+        # pq2(P4) = 2, and every size-1 walk hits cap 1 before step 2.
+        assert pq(path(4), max_steps=1) is UNKNOWN
+
+    def test_exact_under_tiny_cap_when_pq2_is_one(self):
+        # No walk reaches step 2 at cap 1, but pq2 = 1 needs no walk, and no
+        # smaller subset is left to hide a witness.
+        assert pq(path(3), max_steps=1) == 1
+
+    @pytest.mark.parametrize(
+        "fake, want",
+        [
+            ({0b0000101: (3, _WALK_ZERO)}, 2),
+            ({0b1000000: (DEFAULT_MAX_STEPS, _WALK_CAP), 0b0000101: (3, _WALK_ZERO)}, UNKNOWN),
+            ({0b0000011: (DEFAULT_MAX_STEPS, _WALK_CAP), 0b0000101: (3, _WALK_ZERO)}, 2),
+            ({0b0000011: (DEFAULT_MAX_STEPS, _WALK_CAP)}, UNKNOWN),
+        ],
+        ids=["witness", "capped-smaller-size", "capped-same-size", "capped-no-witness"],
+    )
+    def test_witness_below_pq2(self, monkeypatch, fake, want):
+        # No real graph has a witness (the census finds none up to order 7),
+        # so this walker fabricates outcomes for a few subsets of P7, where
+        # pq2 = 3, and walks every other subset for real. A late zero for
+        # {0, 2} makes pq 2; a capped subset of size 1 hides it, one of size
+        # 2 does not; a capped subset below pq2 without a witness also
+        # makes the answer UNKNOWN.
+        real = quiescence._perturbation_walk
+
+        def fabricated_walk(g, mask, max_steps):
+            if mask not in fake:
+                return real(g, mask, max_steps)
+            t, kind = fake[mask]
+            return t, kind, None, None
+
+        g = path(7)
+        assert pq2(g) == 3 and not _ccd_mask(g, 0b0000101)
+        monkeypatch.setattr(quiescence, "_perturbation_walk", fabricated_walk)
+        assert pq(g) == want
+
+    def test_walks_only_the_sizes_below_pq2(self, monkeypatch):
+        seen = []
+        real = quiescence._perturbation_walk
+
+        def recording_walk(g, mask, max_steps):
+            seen.append(mask)
+            return real(g, mask, max_steps)
+
+        monkeypatch.setattr(quiescence, "_perturbation_walk", recording_walk)
+        assert pq(path(7)) == 3
+        assert seen == [*subsets_of_size(7, 1), *subsets_of_size(7, 2)]
+        assert len(seen) == 28
+
+    def test_equals_pq2_on_small_classes(self):
+        # pq = pq2 unless a witness lies below pq2, and none does here: every
+        # isomorphism class of order 1..6 and every connected class of order 7.
+        orders = [(n, False) for n in range(1, 7)] + [(7, True)]
+        for n, connected_only in orders:
+            for key in enumeration._classes(n, connected_only):
+                g = graph_from_edge_mask(n, key)
+                assert pq(g) == pq2(g), (n, g.edges)
 
     def test_bad_cap(self):
         with pytest.raises(ValueError, match="max_steps"):
