@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import path
-from .quiescence import _check_countable, _zero2_mask, count_zero2_subsets, pq2
+from .quiescence import _check_countable, _lower_half_blocks, _member_plane
+from .quiescence import count_zero2_subsets, pq2
 
 __all__ = [
     "PathReportRow",
@@ -61,18 +62,20 @@ def check_endpoint_lemma(n: int) -> bool:
 
     Every proper nontrivial step-2-restoring subset contains exactly one of
     the last two vertices, and exactly one of the first two.
+
+    Checked on the lower-half CCD blocks of the count, with no walk: a subset
+    is zero at step 2 exactly when it is CCD, and both CCD and "exactly one
+    of two vertices" are unchanged under complement, so the nonempty masks
+    below 2^(n-1) stand for every proper nontrivial subset. In each block the
+    rule is the AND, over both ends, of the XOR of two membership planes.
     """
     if n < 2:
         raise ValueError(f"endpoint rule needs n >= 2, got {n}")
     _check_countable(n)
-    g = path(n)
-    full = g.full_mask
-    for h in range(1, full):  # proper and nontrivial only
-        if not _zero2_mask(g, h):
-            continue
-        last_two = (h >> (n - 1) & 1) + (h >> (n - 2) & 1)
-        first_two = (h & 1) + (h >> 1 & 1)
-        if last_two != 1 or first_two != 1:
+    for high, k, block in _lower_half_blocks(path(n)):
+        first, second, next_last, last = (_member_plane(u, high, k) for u in (0, 1, n - 2, n - 1))
+        # Bit 0 of the first block is the empty set, which the rule leaves out.
+        if block & ~((first ^ second) & (next_last ^ last)) & (-1 if high else -2):
             return False
     return True
 

@@ -5,12 +5,24 @@ neighbour, wealth rules suspended; afterwards ordinary Diffusion resumes.
 Step numbering follows the perturbation convention: step 0 is the all-zero
 start, step 1 the post-perturbation configuration, and each later step one
 Diffusion firing. Every perturbation walk goes through _perturbation_walk:
-is_zero_invoking, the step-2 check behind is_zero2_invoking and
-paths.check_endpoint_lemma, and the one witness scan _first_witness, which
-serves find_zero_not_zero2 and pq. The CCD kernel _ccd_block serves is_ccd,
-the count and pq2, which rest on one fact: a subset is zero at step 2 exactly
-when it is CCD. So pq is pq2 unless a witness lies below it (see pq). Every
-scan bounded by ENUMERATION_LIMIT or EXHAUSTIVE_COUNT_LIMIT is here too.
+is_zero_invoking, the step-2 check behind is_zero2_invoking, and the witness
+scan. The CCD kernel _ccd_block serves is_ccd and the block scans, which
+rest on one fact: a subset is zero at step 2 exactly when it is CCD.
+
+Every subset scan is here, one per order, each bounded by ENUMERATION_LIMIT
+or EXHAUSTIVE_COUNT_LIMIT. The two block scans test 2^k subsets per kernel
+call, and their kernels are built from the same index planes _INDEX_PLANES:
+  _lower_half_blocks -- mask order: the CCD blocks of the masks below
+                        2^(n-1); count_zero2_subsets counts their bits, and
+                        paths.check_endpoint_lemma reads them, walking nothing
+  _least_size        -- ascending size: the smallest nonempty subset a block
+                        kernel accepts; pq2 passes _ccd_block, and
+                        domination_number passes _dominating_block
+  _first_witness     -- the order its caller gives: walks subsets for the
+                        first whose first zero is after step 2; serves
+                        find_zero_not_zero2 (mask order) and pq (the sizes
+                        below pq2, since pq is pq2 unless a witness lies
+                        below it)
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -43,11 +55,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
 from .engine import _WALK_CAP, _WALK_ZERO, _check_max_steps, _walk
-from .graphs import Graph, VertexSet, _check_set, _dominating_mask
+from .graphs import Graph, VertexSet, _check_set
 
 __all__ = [
     "UNKNOWN",
@@ -68,16 +80,18 @@ __all__ = [
 ]
 
 # The largest orders that pq2, pq, domination_number and find_zero_not_zero2
-# (ENUMERATION_LIMIT) and count_zero2_subsets (EXHAUSTIVE_COUNT_LIMIT) accept;
-# the CLI checks a source's order against them before building the graph.
-# They are what these scans accept, not orders whose scan is known to finish
-# (2-core Xeon, CPython 3.11): pq, which walks every subset below pq2, took
-# 0.2, 1.9 and 12 s on path:18, 21 and 24; pq2 took 0.4 s on path:26 but scans
-# every block whose high part is smaller than its answer (21 on path:63); the
-# count took 0.3 s for path:26 and 9-10 s for complete:26, doubling per vertex.
+# (ENUMERATION_LIMIT) and count_zero2_subsets and paths.check_endpoint_lemma
+# (EXHAUSTIVE_COUNT_LIMIT) accept; the CLI checks a source's order against
+# them before building the graph. They are what these scans accept, not
+# orders whose scan is known to finish (2-core Xeon, CPython 3.11): pq, which
+# walks every subset below pq2, took 0.2, 1.9 and 12 s on path:18, 21 and 24;
+# pq2 took 0.4 s on path:26 and domination_number 1.4-1.8 s on path:30, but
+# both scan every block whose high part is smaller than their answer (21 on
+# path:63); the count and the endpoint rule took 0.2-0.4 s for path:26, and
+# the count 9-10 s for complete:26, doubling per vertex.
 ENUMERATION_LIMIT = 63
 EXHAUSTIVE_COUNT_LIMIT = 26
-# count_zero2_subsets and pq2 test 2^CCD_BLOCK_BITS subsets per _ccd_block call.
+# The block scans test up to 2^CCD_BLOCK_BITS subsets per kernel call.
 # Counting path:22, cycle:20, kbip:10,10, path:26 and complete:22 in one
 # process (2-core Xeon, CPython 3.11, two runs) took 3.1-3.7 s at 10 bits,
 # 0.8-1.0 s at 14, 0.7-0.8 s at 16 and 0.7-0.8 s at 18, with peak RSS 16,
@@ -258,24 +272,38 @@ def _ccd_block(g: Graph, high: int, k: int, counts: dict[int, list[int]]) -> int
     return full & ~bad
 
 
+def _member_plane(u: int, high: int, k: int) -> int:
+    """The 2^k-bit plane whose bit j is set when vertex u is in high | j."""
+    full = (1 << (1 << k)) - 1
+    return _INDEX_PLANES[u] & full if u < k else full if (high >> u) & 1 else 0
+
+
+def _lower_half_blocks(g: Graph) -> Iterator[tuple[int, int, int]]:
+    """The lower-half block scan: (high, k, _ccd_block(g, high, k, counts))
+    for the blocks of 2^k consecutive masks below 2^(n-1), in mask order,
+    k = min(CCD_BLOCK_BITS, n - 1), with the count planes built once for all
+    blocks. By the complement lemma these masks stand for every subset. n >= 1.
+    """
+    k = min(CCD_BLOCK_BITS, g.n - 1)
+    counts = _count_planes(g, k)
+    for high in range(0, 1 << (g.n - 1), 1 << k):
+        yield high, k, _ccd_block(g, high, k, counts)
+
+
 def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
     """Number of subsets that restore zero at step 2, counted via the CCD
     characterization (a structural check instead of two firings per subset).
 
-    Only masks below 2^(n-1) are tested, one _ccd_block call per block of 2^k
-    consecutive masks, k = min(CCD_BLOCK_BITS, n - 1), with the count planes
-    built once for all blocks; the complement lemma (CCD form) doubles the
-    result. On n = 0 the empty set is its own complement and is counted once.
+    Only the masks below 2^(n-1) are tested, by the lower-half block scan;
+    the complement lemma (CCD form) doubles the result. On n = 0 the empty
+    set is its own complement and is counted once.
 
     include_trivial=False drops the empty set and the full vertex set.
     """
     _check_countable(g.n)
     count = 1
     if g.n:
-        k = min(CCD_BLOCK_BITS, g.n - 1)
-        counts = _count_planes(g, k)
-        blocks = range(0, 1 << (g.n - 1), 1 << k)
-        count = 2 * sum(_ccd_block(g, high, k, counts).bit_count() for high in blocks)
+        count = 2 * sum(block.bit_count() for _, _, block in _lower_half_blocks(g))
     if not include_trivial:
         count -= len({0, g.full_mask})
     return count
@@ -380,34 +408,50 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def pq2(g: Graph) -> int:
-    """Size of the smallest nonempty subset that is zero again at step 2.
+def _least_size(g: Graph, kernel: Callable[[int, int], int]) -> int:
+    """The least-size block scan: the size of the smallest nonempty subset
+    that a block kernel accepts, where bit j of kernel(high, k) says whether
+    high | j is accepted. The kernel must accept the full vertex set.
 
-    Such a subset is exactly a CCD one, the fact the count rests on too, so
-    this scans _ccd_block blocks of k = min(CCD_BLOCK_BITS, n) low bits and
-    makes no walk. High parts go by ascending popcount p; the empty set, bit 0
-    of the p = 0 block, is cleared. A block's smallest subset has size p + c
-    for the least popcount plane c that meets it. Early stop: every mask in a
-    block has popcount >= p and later blocks never have a smaller p, so no
-    block with p >= best can lower best. best starts at n, since the full
-    vertex set is always CCD.
+    Blocks have k = min(CCD_BLOCK_BITS, n) low bits, and their high parts go
+    by ascending popcount p; the empty set, bit 0 of the p = 0 block, is
+    cleared. A block's smallest subset has size p + c for the least popcount
+    plane c that meets it (bit j of plane c is set when popcount(j) = c).
+    Early stop: every mask in a block has popcount >= p and later blocks
+    never have a smaller p, so no block with p >= best can lower best. best
+    starts at n, the full vertex set.
     """
-    _check_enumerable(g.n)
-    if g.n == 0:
-        raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
-    k = min(CCD_BLOCK_BITS, g.n)
-    counts, sizes = _count_planes(g, k), _exact_planes((1 << k) - 1, k)
-    best = g.n
+    # The popcount planes are built packed in one int, plane c at bit c*2^k.
+    # The masks with bit i set are those below 2^i moved 2^i bits along and
+    # one plane up, so one shift-OR per bit doubles the masks covered. This
+    # gives _exact_planes((1 << k) - 1, k) at a third of its cost or less for
+    # k <= 9 (it dominated domination_number on 6 vertices), and at twice its
+    # cost, 0.14 against 0.08 ms once per scan, for k = 14.
+    k, packed = min(CCD_BLOCK_BITS, g.n), 1
+    for i in range(k):
+        packed |= packed << (1 << k) + (1 << i)
+    best, sizes = g.n, [packed >> (c << k) & ((1 << (1 << k)) - 1) for c in range(k + 1)]
     for p in range(g.n - k + 1):
         if p >= best:
             break
         for high in subsets_of_size(g.n - k, p):
-            block = _ccd_block(g, high << k, k, counts) & (-1 if high else -2)
-            for c, plane in enumerate(sizes[: best - p]):
-                if block & plane:
-                    best = p + c
-                    break
+            block = kernel(high << k, k) & (-1 if high else -2)
+            best = next((p + c for c, plane in enumerate(sizes[: best - p]) if block & plane), best)
     return best
+
+
+def pq2(g: Graph) -> int:
+    """Size of the smallest nonempty subset that is zero again at step 2.
+
+    Such a subset is exactly a CCD one, the fact the count rests on too, so
+    this is the least-size block scan over _ccd_block, with the count planes
+    built once, and makes no walk. The full vertex set is always CCD.
+    """
+    _check_enumerable(g.n)
+    if g.n == 0:
+        raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
+    counts = _count_planes(g, min(CCD_BLOCK_BITS, g.n))
+    return _least_size(g, lambda high, k: _ccd_block(g, high, k, counts))
 
 
 def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
@@ -430,13 +474,39 @@ def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
     return UNKNOWN if capped_below else best
 
 
+def _dominating_block(g: Graph, high: int, k: int) -> int:
+    """Domination on the 2^k subsets high | j, j < 2^k, one subset per bit:
+    bit j of the result is set exactly when high | j dominates g, by the
+    block lemma of domination_number. high has its low k bits clear and
+    0 <= k <= CCD_BLOCK_BITS."""
+    block, low = (1 << (1 << k)) - 1, (1 << k) - 1
+    for v, nbrs in enumerate(g.nbr_masks):
+        closed = nbrs | 1 << v
+        if closed & high:
+            continue
+        hit, m = 0, closed & low
+        while m:
+            # Masked by block, hit stays inside it (so block = hit is the AND)
+            # and each OR stays as short as the block.
+            hit |= _INDEX_PLANES[(m & -m).bit_length() - 1] & block
+            m &= m - 1
+        block = hit
+    return block
+
+
 def domination_number(g: Graph) -> int:
-    """Exact domination number by ascending-size subset enumeration."""
+    """Exact domination number: the least-size block scan over
+    _dominating_block, 2^k subsets per call. The full vertex set dominates,
+    and on n = 0 the answer is 0.
+
+    Block lemma. H = high | j dominates v when the closed neighbourhood N[v]
+    meets H. If N[v] meets high, v is dominated in the whole block.
+    Otherwise v is dominated where j has a bit in the low part of N[v],
+    which is the OR of those low vertices' index planes. A subset dominates
+    when every vertex is dominated, so the block is the AND over v.
+    """
     _check_enumerable(g.n)
-    for k in range(g.n + 1):
-        if any(_dominating_mask(g, s) for s in subsets_of_size(g.n, k)):
-            return k
-    raise AssertionError("unreachable: the full vertex set dominates")
+    return _least_size(g, lambda high, k: _dominating_block(g, high, k))
 
 
 def find_zero_not_zero2(

@@ -12,7 +12,7 @@ from chip_diffusion import (
     pq2,
     pq2_path_closed,
 )
-from chip_diffusion import paths
+from chip_diffusion import paths, quiescence
 
 
 class TestClosedForms:
@@ -58,14 +58,20 @@ class TestEndpointRule:
     def test_holds_up_to_14(self, n):
         assert check_endpoint_lemma(n)
 
+    @pytest.mark.parametrize("n", range(15, 25))
+    def test_holds_over_several_blocks(self, n):
+        # From n = 16 the lower half spans several blocks and vertex n - 2 is
+        # a high vertex, so its membership plane is all ones or all zeros.
+        assert check_endpoint_lemma(n)
+
     def test_needs_two_vertices(self):
         with pytest.raises(ValueError):
             check_endpoint_lemma(1)
 
     def test_refuses_orders_above_the_count_limit_before_scanning(self, monkeypatch):
-        # The rule fires all 2^n masks of P_n, so it takes the exhaustive
-        # count's limit: 27 is refused before the path is built, and 26
-        # (stopped here at the build) is accepted.
+        # The rule scans the count's CCD blocks of P_n, so it takes the
+        # exhaustive count's limit: 27 is refused before the path is built,
+        # and 26 (stopped here at the build) is accepted.
         def no_build(n):
             raise LookupError(f"built path:{n}")
 
@@ -77,15 +83,23 @@ class TestEndpointRule:
             check_endpoint_lemma(26)
 
     @pytest.mark.parametrize(
-        "bad", [0b0011, 0b1011, 0b1101], ids=["both", "first-only", "last-only"]
+        "n, bad",
+        [(4, 0b0011), (4, 0b0111), (4, 0b0001), (17, 1 << 14 | 1)],
+        ids=["both", "first-only", "last-only", "p17-second-block"],
     )
-    def test_false_when_a_step2_subset_breaks_the_rule(self, monkeypatch, bad):
-        # P4 has no real counterexample, so a step-2 test that also accepts
-        # one subset breaking the rule at the first two vertices, the last
-        # two, or both must turn the verdict.
-        real = paths._zero2_mask
-        monkeypatch.setattr(paths, "_zero2_mask", lambda g, h: h == bad or real(g, h))
-        assert not check_endpoint_lemma(4)
+    def test_false_when_a_step2_subset_breaks_the_rule(self, monkeypatch, n, bad):
+        # P_n has no real counterexample, so a CCD kernel that also accepts
+        # one lower-half mask breaking the rule at the first two vertices, the
+        # last two, or both must turn the verdict. On P17 the mask {0, 14}
+        # lies in the second block, where vertices 15 and 16 are high.
+        real = quiescence._ccd_block
+
+        def accepting(g, high, k, counts):
+            block = real(g, high, k, counts)
+            return block | 1 << (bad - high) if high <= bad < high + (1 << k) else block
+
+        monkeypatch.setattr(quiescence, "_ccd_block", accepting)
+        assert not check_endpoint_lemma(n)
 
 
 class TestPathTable:

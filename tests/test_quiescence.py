@@ -36,7 +36,9 @@ from chip_diffusion import (
 import chip_diffusion
 from chip_diffusion import enumeration, quiescence
 from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
-from chip_diffusion.quiescence import _ccd_block, _ccd_mask, _count_planes, _zero2_mask
+from chip_diffusion.graphs import _dominating_mask
+from chip_diffusion.quiescence import _ccd_block, _ccd_mask, _count_planes, _dominating_block
+from chip_diffusion.quiescence import _zero2_mask
 
 import naive
 from strategies import graphs, graphs_with_subset
@@ -116,9 +118,13 @@ def naive_ccd(g, masks):
     return [naive.ccd(adj, {v for v in range(g.n) if m >> v & 1}) for m in masks]
 
 
-def assert_block_matches(g, high, k, want):
-    """Bit j of _ccd_block(g, high, k) is want[j], the verdict on high | j."""
-    block = _ccd_block(g, high, k, _count_planes(g, k))
+def ccd_block(g, high, k):
+    return _ccd_block(g, high, k, _count_planes(g, k))
+
+
+def assert_block_matches(g, high, k, want, kernel=ccd_block):
+    """Bit j of kernel(g, high, k) is want[j], the verdict on high | j."""
+    block = kernel(g, high, k)
     assert block >> (1 << k) == 0, (g.edges, high, k)
     assert [bool(block >> j & 1) for j in range(1 << k)] == want, (g.edges, high, k)
 
@@ -140,6 +146,22 @@ class TestCcdBlock:
         k = data.draw(st.integers(min_value=0, max_value=g.n))
         high = data.draw(st.integers(min_value=0, max_value=(1 << (g.n - k)) - 1)) << k
         assert_block_matches(g, high, k, naive_ccd(g, range(high, high + (1 << k))))
+
+
+class TestDominatingBlock:
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_block_of_every_small_graph(self, n):
+        # Every labelled graph, every block size and every block offset.
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            adj = naive.adjacency(n, g.edges)
+            table = [
+                naive.dominating(adj, {v for v in range(n) if m >> v & 1}) for m in range(1 << n)
+            ]
+            for k in range(n + 1):
+                for high in range(0, 1 << n, 1 << k):
+                    want = table[high:high + (1 << k)]
+                    assert_block_matches(g, high, k, want, _dominating_block)
 
 
 class TestZero2:
@@ -378,6 +400,16 @@ def sparse_connected(n, seed):
     return Graph(n, sorted(edges))
 
 
+# Graphs with n > CCD_BLOCK_BITS, whose least-size block scans span many blocks.
+SEVERAL_BLOCKS = pytest.mark.parametrize(
+    "g",
+    [path(15), path(18), path(20), cycle(16), cycle(20), complete_bipartite(8, 8)]
+    + [sparse_connected(n, seed) for n, seed in [(15, 1), (16, 2), (20, 6)]],
+    ids=["path15", "path18", "path20", "cycle16", "cycle20", "kbip8,8",
+         "sparse15", "sparse16", "sparse20"],
+)
+
+
 class TestPq2BlockScan:
     """pq2 scans CCD blocks; these check it against firing, subset by subset."""
 
@@ -391,13 +423,7 @@ class TestPq2BlockScan:
     def test_matches_firing_up_to_n9(self, g):
         assert pq2(g) == firing_pq2(g)
 
-    @pytest.mark.parametrize(
-        "g",
-        [path(15), path(18), path(20), cycle(16), cycle(20), complete_bipartite(8, 8)]
-        + [sparse_connected(n, seed) for n, seed in [(15, 1), (16, 2), (20, 6)]],
-        ids=["path15", "path18", "path20", "cycle16", "cycle20", "kbip8,8",
-             "sparse15", "sparse16", "sparse20"],
-    )
+    @SEVERAL_BLOCKS
     def test_matches_firing_over_several_blocks(self, g):
         # n > CCD_BLOCK_BITS, so the high parts of 1..6 vertices span many
         # blocks. sparse15's only witness is the full vertex set.
@@ -433,6 +459,44 @@ class TestPq2BlockScan:
         assert pq2(rigid_six) == 6
         assert pq2(path(20)) == 7
         assert pq2(complete_bipartite(8, 8)) == 2
+
+
+def subset_domination_number(g):
+    """Least size of a dominating subset by an ascending-size scan of
+    _dominating_mask, one subset at a time: the unpruned reference for
+    domination_number."""
+    return next(
+        k for k in range(g.n + 1) for m in subsets_of_size(g.n, k) if _dominating_mask(g, m)
+    )
+
+
+class TestDominationBlockScan:
+    """domination_number scans _dominating_block blocks; these check it
+    against the per-subset scan."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_subset_scan_on_every_labelled_graph(self, n):
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            assert domination_number(g) == subset_domination_number(g), g.edges
+
+    @SEVERAL_BLOCKS
+    def test_matches_subset_scan_over_several_blocks(self, g):
+        assert g.n > quiescence.CCD_BLOCK_BITS
+        assert domination_number(g) == subset_domination_number(g)
+
+    def test_one_block_call_on_complete63(self, monkeypatch):
+        # The p = 0 block already holds a single vertex, so p = 1 stops the scan.
+        calls = []
+        real = quiescence._dominating_block
+
+        def counted(g, high, k):
+            calls.append(high)
+            return real(g, high, k)
+
+        monkeypatch.setattr(quiescence, "_dominating_block", counted)
+        assert domination_number(complete(63)) == 1
+        assert calls == [0]
 
 
 def naive_pq(g, cap):
