@@ -4,25 +4,31 @@ A perturbation of a subset H makes every H-vertex send one chip to each
 neighbour, wealth rules suspended; afterwards ordinary Diffusion resumes.
 Step numbering follows the perturbation convention: step 0 is the all-zero
 start, step 1 the post-perturbation configuration, and each later step one
-Diffusion firing. Every perturbation walk goes through _perturbation_walk:
-is_zero_invoking, the step-2 check behind is_zero2_invoking, and the witness
-scan. The CCD kernel _ccd_block serves is_ccd and the block scans, which
-rest on one fact: a subset is zero at step 2 exactly when it is CCD.
+Diffusion firing. Two kernels walk perturbations. _perturbation_walk walks
+one subset and keeps its cycle's configurations; it serves is_zero_invoking
+and the step-2 check behind is_zero2_invoking, and it is the independent
+check of the other. _lane_walk walks many subsets at once, one lane of a big
+int each, and serves the witness scans; its docstring holds the no-borrow
+lemma that makes the lanes exact. The CCD kernel _ccd_block serves is_ccd
+and the CCD block scans, which rest on one fact: a subset is zero at step 2
+exactly when it is CCD.
 
 Every subset scan is here, one per order, each bounded by ENUMERATION_LIMIT
-or EXHAUSTIVE_COUNT_LIMIT. The two block scans test 2^k subsets per kernel
-call, and their kernels are built from the same index planes _INDEX_PLANES:
+or EXHAUSTIVE_COUNT_LIMIT. The block scans test up to 2^CCD_BLOCK_BITS
+subsets per kernel call, and their kernels are built from the same index
+planes (_index_planes):
   _lower_half_blocks -- mask order: the CCD blocks of the masks below
                         2^(n-1); count_zero2_subsets counts their bits, and
                         paths.check_endpoint_lemma reads them, walking nothing
   _least_size        -- ascending size: the smallest nonempty subset a block
                         kernel accepts; pq2 passes _ccd_block, and
                         domination_number passes _dominating_block
-  _first_witness     -- the order its caller gives: walks subsets for the
-                        first whose first zero is after step 2; serves
-                        find_zero_not_zero2 (mask order) and pq (the sizes
-                        below pq2, since pq is pq2 unless a witness lies
-                        below it)
+  _lane_scan         -- the witness scan: _lane_walk on blocks of lanes in
+                        order, for the first subset whose first zero is after
+                        step 2; find_zero_not_zero2 passes the lower-half
+                        blocks (_lower_half_lanes) and pq the masks of each
+                        size below pq2 (_size_lanes), since pq is pq2 unless
+                        a witness lies below it
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -55,7 +61,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
 from .engine import _WALK_CAP, _WALK_ZERO, _check_max_steps, _walk
@@ -84,14 +91,16 @@ __all__ = [
 # (EXHAUSTIVE_COUNT_LIMIT) accept; the CLI checks a source's order against
 # them before building the graph. They are what these scans accept, not
 # orders whose scan is known to finish (2-core Xeon, CPython 3.11): pq, which
-# walks every subset below pq2, took 0.2, 1.9 and 12 s on path:18, 21 and 24;
-# pq2 took 0.4 s on path:26 and domination_number 1.4-1.8 s on path:30, but
+# walks every subset below pq2 in lanes, took 0.03-0.04, 0.2-0.25 and 1.8-2.0 s
+# on path:18, 21 and 24, and find_zero_not_zero2 1.0 and 7.6 s on path:21
+# and 24, doubling per vertex; pq2 took 0.4 s on path:26 and domination_number 1.4-1.8 s on path:30, but
 # both scan every block whose high part is smaller than their answer (21 on
 # path:63); the count and the endpoint rule took 0.2-0.4 s for path:26, and
 # the count 9-10 s for complete:26, doubling per vertex.
 ENUMERATION_LIMIT = 63
 EXHAUSTIVE_COUNT_LIMIT = 26
-# The block scans test up to 2^CCD_BLOCK_BITS subsets per kernel call.
+# The block scans and the lane walks test up to 2^CCD_BLOCK_BITS subsets per
+# kernel call.
 # Counting path:22, cycle:20, kbip:10,10, path:26 and complete:22 in one
 # process (2-core Xeon, CPython 3.11, two runs) took 3.1-3.7 s at 10 bits,
 # 0.8-1.0 s at 14, 0.7-0.8 s at 16 and 0.7-0.8 s at 18, with peak RSS 16,
@@ -179,20 +188,27 @@ def _ccd_mask(g: Graph, mask: int) -> bool:
     return _ccd_block(g, mask, 0, {}) == 1
 
 
-def _index_planes(k: int) -> tuple[int, ...]:
-    """X_0..X_{k-1}: the 2^k-bit ints whose bit j is bit i of j."""
+def _index_planes(k: int, stride: int) -> tuple[int, ...]:
+    """X_0..X_{k-1} over 2^k lanes of stride bits: lane j of X_i holds bit i
+    of j. With stride 1 these are the 2^k-bit ints whose bit j is bit i of j."""
     width = 1 << k
     planes = []
     for i in range(k):
-        plane, period = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        run = 1 << i
+        plane, period = _lane_ones(run, stride) << run * stride, 2 << i
         while period < width:
-            plane |= plane << period
+            plane |= plane << period * stride
             period <<= 1
         planes.append(plane)
     return tuple(planes)
 
 
-_INDEX_PLANES = _index_planes(CCD_BLOCK_BITS)
+def _lane_ones(lanes: int, stride: int) -> int:
+    """The int with a 1 in each of lanes lanes of stride bits."""
+    return ((1 << lanes * stride) - 1) // ((1 << stride) - 1)
+
+
+_INDEX_PLANES = _index_planes(CCD_BLOCK_BITS, 1)
 
 
 def _exact_planes(m: int, k: int) -> list[int]:
@@ -284,10 +300,17 @@ def _lower_half_blocks(g: Graph) -> Iterator[tuple[int, int, int]]:
     k = min(CCD_BLOCK_BITS, n - 1), with the count planes built once for all
     blocks. By the complement lemma these masks stand for every subset. n >= 1.
     """
-    k = min(CCD_BLOCK_BITS, g.n - 1)
+    k, highs = _lower_half(g.n)
     counts = _count_planes(g, k)
-    for high in range(0, 1 << (g.n - 1), 1 << k):
+    for high in highs:
         yield high, k, _ccd_block(g, high, k, counts)
+
+
+def _lower_half(n: int) -> tuple[int, range]:
+    """k = min(CCD_BLOCK_BITS, n - 1) and the high parts of the blocks of 2^k
+    consecutive masks below 2^(n-1), in mask order; no block when n = 0."""
+    k = min(CCD_BLOCK_BITS, max(n - 1, 0))
+    return k, range(0, (1 << n) >> 1, 1 << k)
 
 
 def count_zero2_subsets(g: Graph, include_trivial: bool = True) -> int:
@@ -367,20 +390,143 @@ def _perturbation_walk(g: Graph, mask: int, max_steps: int) -> tuple:
     return k + 1, kind, before, last
 
 
-def _first_witness(g: Graph, masks: Iterable[int], max_steps: int) -> tuple:
-    """The witness scan of find_zero_not_zero2 and pq: walk masks in order and
-    return (the first (mask, zero step >= 3) or None, whether any walk capped).
-    Each witness is re-checked by the CCD test, which holds exactly when step
-    2 is zero and shares no code with the walk."""
+def _lane_width(g: Graph) -> int:
+    """B, the bits per lane of _lane_walk on g: bitlen(2 Delta) + 1, Delta
+    the maximum degree."""
+    return (2 * max((m.bit_count() for m in g.nbr_masks), default=0)).bit_length() + 1
+
+
+def _lower_half_lanes(g: Graph) -> Iterator[tuple[list[int], range]]:
+    """The lanes of the mask-order scan: (planes, masks) for each block of
+    _lower_half, masks being the block's 2^k masks high | j in order. Lane j
+    of a low vertex's plane is bit j of its index plane, spread to the lane
+    width; a high vertex's plane is all ones or all zeros."""
+    (k, highs), b = _lower_half(g.n), _lane_width(g)
+    index, ones = _index_planes(k, b), _lane_ones(1 << k, b)
+    for high in highs:
+        planes = [index[w] if w < k else ones if high >> w & 1 else 0 for w in range(g.n)]
+        yield planes, range(high, high + (1 << k))
+
+
+def _size_lanes(g: Graph, size: int) -> Iterator[tuple[list[int], list[int]]]:
+    """The lanes of the masks of one size, in increasing order:
+    (planes, masks) for chunks of at most 2^CCD_BLOCK_BITS masks, where lane
+    i of plane w holds bit w of masks[i]."""
+    masks, b = subsets_of_size(g.n, size), _lane_width(g)
+    while chunk := list(islice(masks, 1 << CCD_BLOCK_BITS)):
+        rows = [bytearray((len(chunk) * b + 7) >> 3) for _ in range(g.n)]
+        for i, m in enumerate(chunk):
+            byte, bit = i * b >> 3, 1 << (i * b & 7)
+            while m:
+                rows[(m & -m).bit_length() - 1][byte] |= bit
+                m &= m - 1
+        yield [int.from_bytes(row, "little") for row in rows], chunk
+
+
+def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int) -> tuple:
+    """The lane-parallel perturbation walk: every lane of the membership
+    planes walked at once, one big int per vertex.
+
+    Lane i stands for the subset masks[i]; lane i of planes[w] is 1 when w
+    is in it. Each vertex's stacks are one int of len(masks) lanes of b =
+    _lane_width(g) bits, biased by Delta, the maximum degree. The start is
+    linear in the planes: X_v = Delta + sum over w in N(v) of I_w - deg(v) I_v,
+    which is -L 1_H, the perturbation. Steps are numbered as in
+    _perturbation_walk, so at most max_steps - 1 firings are made.
+
+    Returns ((masks[i], t), live) for the lowest lane i whose first zero
+    step t is 3 or later, else (None, live); live has the top bit of each
+    lane still undecided when the walk stopped, so with no witness it holds
+    the capped lanes. A lane is decided when it is zero (a no-op at step 1,
+    zero at step 2, or a witness) or when C_t = C_{t-2}. There is no
+    period-1 test: by the period-2 lemma a perturbation never reaches a
+    nonzero fixed point. The walk stops once no live lane lies below its
+    lowest witness, or no lane is live.
+
+    Firing. The top bit of each lane is its guard bit, clear in every held
+    stack. Lane-wise, (X_u | G) - X_v is 2^(b-1) + X_u - X_v, in (0, 2^b), so
+    no lane borrows and the guard bit says X_u >= X_v. One firing costs a few
+    big-int operations per edge, whatever the number of lanes. The per-lane
+    tests OR the XORs of all vertices (with the bias for zero, with C_{t-2}
+    for the cycle); adding 2^(b-1) - 1 in each lane sets the guard bit of the
+    lanes that differ.
+
+    No-borrow lemma. Perturbation stacks start in [-Delta, Delta]: a vertex
+    outside H gains one chip per neighbour in H, one in H loses one per
+    neighbour outside. A firing moves a stack by at most its degree, and the
+    lanes hold [-Delta, 2^(b-1) - 1 - Delta], which contains [-Delta, Delta]
+    since 2^(b-1) > 2 Delta. Python ints are exact, and lanes are read only
+    between firings, so a firing is exact lane by lane whenever its result
+    lies in that range. Every perturbation walk measured stays in [-Delta,
+    Delta] (all labelled graphs of order <= 6, the connected classes of
+    order 7, paths and cycles to 14 vertices, random graphs to 13), but
+    Diffusion in general can leave the start's range: on P3, (1, 0, 1) fires
+    to (0, 2, 0). So the kernel checks every configuration it holds. The
+    start is in range by the above. After a firing, the lowest lane that
+    left the range moved by at most Delta < 2^(b-1) from a held value, so
+    its guard bit is set, and the walk raises rather than decide on a wrong
+    stack.
+    """
+    deg, b = [m.bit_count() for m in g.nbr_masks], _lane_width(g)
+    ones = _lane_ones(len(masks), b)
+    guard = ones << b - 1
+    low, bias, shift = guard - ones, max(deg, default=0) * ones, b - 1
+    edges = g.edges
+    x = [bias - d * p for d, p in zip(deg, planes)]
+    for u, v in edges:
+        x[u] += planes[v]
+        x[v] += planes[u]
+    # x is C_t, and before and last are C_{t-2} and C_{t-1} once fired.
+    live, before, last, witness = guard, None, None, None
+    for t in range(1, max_steps + 1):
+        if t > 1:
+            if not live:
+                break
+            xg = [c | guard for c in x]
+            acc = [0] * len(x)
+            for u, v in edges:
+                d = ((xg[v] - x[u]) & guard) - ((xg[u] - x[v]) & guard)
+                acc[u] += d
+                acc[v] -= d
+            before, last, x = last, x, [c + (a >> shift) for c, a in zip(x, acc)]
+        nonzero = 0
+        for c in x:
+            nonzero |= c ^ bias
+        if nonzero & guard:
+            raise AssertionError("a perturbation stack left the lane range")
+        zero = live & ~(nonzero + low)
+        if zero and t >= 3:
+            first = zero & -zero
+            if witness is None or first < witness[0]:
+                witness = first, t
+        live ^= zero
+        if before is not None:
+            moved = 0
+            for c, p in zip(x, before):
+                moved |= c ^ p
+            live &= moved + low
+        if witness and not live & witness[0] - 1:
+            break
+    if witness is None:
+        return None, live
+    first, t = witness
+    return (masks[(first.bit_length() - 1) // b], t), live
+
+
+def _lane_scan(g: Graph, blocks: Iterable[tuple], max_steps: int) -> tuple:
+    """The witness scan of find_zero_not_zero2 and pq: run _lane_walk on
+    each (planes, masks) block in order and return (the first (mask, zero
+    step >= 3) or None, whether any lane capped). Each witness is re-checked
+    by the CCD test, which holds exactly when step 2 is zero and shares no
+    code with the walk."""
     capped = False
-    for mask in masks:
-        t, kind, _, _ = _perturbation_walk(g, mask, max_steps)
-        if kind == _WALK_CAP:
-            capped = True
-        elif kind == _WALK_ZERO and t >= 3:
-            if _ccd_mask(g, mask):
+    for planes, masks in blocks:
+        witness, live = _lane_walk(g, planes, masks, max_steps)
+        if witness:
+            if _ccd_mask(g, witness[0]):
                 raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
-            return (mask, t), capped
+            return witness, capped
+        capped = capped or live != 0
     return None, capped
 
 
@@ -467,7 +613,7 @@ def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
     _check_max_steps(max_steps)
     best, capped_below = pq2(g), False
     for k in range(1, best):
-        witness, capped = _first_witness(g, subsets_of_size(g.n, k), max_steps)
+        witness, capped = _lane_scan(g, _size_lanes(g, k), max_steps)
         if witness:
             return UNKNOWN if capped_below else k
         capped_below = capped_below or capped
@@ -525,7 +671,7 @@ def find_zero_not_zero2(
     """
     _check_enumerable(g.n)
     _check_max_steps(max_steps)
-    witness, capped = _first_witness(g, range((1 << g.n) >> 1), max_steps)
+    witness, capped = _lane_scan(g, _lower_half_lanes(g), max_steps)
     if witness:
         mask, t = witness
         note = f"zero restored at step {t}, nonzero at step 2"

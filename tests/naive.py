@@ -43,7 +43,12 @@ def is_zero(config):
 def zero_invoking_outcome(adj, subset, cap=10_000):
     """('reached_zero', step) | ('period_without_zero', (preperiod, period)) |
     ('cap_exceeded', None), with step 1 = post-perturbation configuration."""
-    config = perturb(adj, subset)
+    return walk_outcome(adj, perturb(adj, subset), cap)
+
+
+def walk_outcome(adj, config, cap=10_000):
+    """zero_invoking_outcome for the walk that has config at step 1, step 0
+    marking a config that is already zero."""
     if is_zero(config):
         return ("reached_zero", 0)
     prev2, prev1 = None, config

@@ -31,7 +31,6 @@ from chip_diffusion import (
     search_all_graphs,
 )
 from chip_diffusion import cli, enumeration, quiescence
-from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
 from chip_diffusion.enumeration import (
     SearchProgress,
     all_edge_pairs,
@@ -219,36 +218,36 @@ class TestFindZeroNotZero2:
 
     def test_witness_recheck_does_not_trust_the_walker(self, monkeypatch):
         # {1} on P3 is CCD (no edge lies inside H or V-H), so it is zero at
-        # step 2. A walker that claims a first zero at step 3 for it, and a
-        # cap for any shorter walk, must trip the re-check.
-        real = quiescence._perturbation_walk
+        # step 2. A lane kernel that claims a first zero at step 3 for it,
+        # and a cap for any shorter walk, must trip the re-check.
+        real = quiescence._lane_walk
 
-        def lying_walk(g, mask, max_steps):
-            if mask != 0b010:
-                return real(g, mask, max_steps)
+        def lying_kernel(g, planes, masks, max_steps):
+            if 0b010 not in masks:
+                return real(g, planes, masks, max_steps)
             if max_steps < 3:
-                return max_steps, _WALK_CAP, None, None
-            return 3, _WALK_ZERO, None, (0, 0, 0)
+                return None, 1
+            return (0b010, 3), 0
 
         assert _ccd_mask(path(3), 0b010)
-        monkeypatch.setattr(quiescence, "_perturbation_walk", lying_walk)
+        monkeypatch.setattr(quiescence, "_lane_walk", lying_kernel)
         with pytest.raises(AssertionError, match="CCD"):
             find_zero_not_zero2(path(3))
 
     def test_witness_reports_graph_subset_step_and_note(self, monkeypatch):
-        # No small graph has a known witness, so this walker reports a first
-        # zero at step 3 for {0} on P4. {0} is not CCD (nonzero at step 2),
-        # so it passes the re-check. Every other mask walks for real.
-        real = quiescence._perturbation_walk
+        # No small graph has a known witness, so this lane kernel reports a
+        # first zero at step 3 for {0} on P4. {0} is not CCD (nonzero at
+        # step 2), so it passes the re-check. Every other lane walks for real.
+        real = quiescence._lane_walk
 
-        def late_zero_walk(g, mask, max_steps):
-            if mask != 0b0001:
-                return real(g, mask, max_steps)
-            return 3, _WALK_ZERO, None, (0, 0, 0, 0)
+        def late_zero_kernel(g, planes, masks, max_steps):
+            witness, live = real(g, planes, masks, max_steps)
+            assert witness is None and not live
+            return ((0b0001, 3), 0) if 0b0001 in masks else (None, live)
 
         g = path(4)
         assert not _ccd_mask(g, 0b0001)
-        monkeypatch.setattr(quiescence, "_perturbation_walk", late_zero_walk)
+        monkeypatch.setattr(quiescence, "_lane_walk", late_zero_kernel)
         w = find_zero_not_zero2(g)
         assert isinstance(w, SearchWitness)
         assert w.graph is g
@@ -309,6 +308,16 @@ class TestComplementPruning:
             res = find_zero_not_zero2(graph_from_edge_mask(n, edge_mask), max_steps=cap)
             got = res.subset.mask if isinstance(res, SearchWitness) else res.value
             assert got == oracle_find(n, edge_mask, cap), edge_mask
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_scan_over_several_lane_blocks_matches_unpruned_oracle(self, monkeypatch, n):
+        # At 2 block bits the masks below 2^(n-1) span 2 or 4 lane blocks.
+        monkeypatch.setattr(quiescence, "CCD_BLOCK_BITS", 2)
+        for cap in ORACLE_CAPS:
+            for edge_mask in range(1 << (n * (n - 1) // 2)):
+                res = find_zero_not_zero2(graph_from_edge_mask(n, edge_mask), max_steps=cap)
+                got = res.subset.mask if isinstance(res, SearchWitness) else res.value
+                assert got == oracle_find(n, edge_mask, cap), edge_mask
 
 
 class TestIsomorphismCache:

@@ -38,7 +38,7 @@ from chip_diffusion import enumeration, quiescence
 from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
 from chip_diffusion.graphs import _dominating_mask
 from chip_diffusion.quiescence import _ccd_block, _ccd_mask, _count_planes, _dominating_block
-from chip_diffusion.quiescence import _zero2_mask
+from chip_diffusion.quiescence import _lane_width, _lower_half_lanes, _size_lanes, _zero2_mask
 
 import naive
 from strategies import graphs, graphs_with_subset
@@ -456,6 +456,7 @@ class TestPq2BlockScan:
             raise AssertionError("pq2 walked a perturbation")
 
         monkeypatch.setattr(quiescence, "_perturbation_walk", no_walk)
+        monkeypatch.setattr(quiescence, "_lane_walk", no_walk)
         assert pq2(rigid_six) == 6
         assert pq2(path(20)) == 7
         assert pq2(complete_bipartite(8, 8)) == 2
@@ -556,33 +557,39 @@ class TestPq:
     )
     def test_witness_below_pq2(self, monkeypatch, fake, want):
         # No real graph has a witness (the census finds none up to order 7),
-        # so this walker fabricates outcomes for a few subsets of P7, where
-        # pq2 = 3, and walks every other subset for real. A late zero for
-        # {0, 2} makes pq 2; a capped subset of size 1 hides it, one of size
-        # 2 does not; a capped subset below pq2 without a witness also
+        # so this lane kernel fabricates outcomes for a few subsets of P7,
+        # where pq2 = 3, and walks every other lane for real. A late zero
+        # for {0, 2} makes pq 2; a capped subset of size 1 hides it, one of
+        # size 2 does not; a capped subset below pq2 without a witness also
         # makes the answer UNKNOWN.
-        real = quiescence._perturbation_walk
+        real = quiescence._lane_walk
 
-        def fabricated_walk(g, mask, max_steps):
-            if mask not in fake:
-                return real(g, mask, max_steps)
-            t, kind = fake[mask]
-            return t, kind, None, None
+        def fabricated_kernel(g, planes, masks, max_steps):
+            witness, live = real(g, planes, masks, max_steps)
+            b = _lane_width(g)
+            for lane, mask in enumerate(masks):
+                if mask in fake:
+                    t, kind = fake[mask]
+                    if kind == _WALK_CAP:
+                        live |= 1 << lane * b + b - 1
+                    elif witness is None or masks.index(witness[0]) > lane:
+                        witness = mask, t
+            return witness, live
 
         g = path(7)
         assert pq2(g) == 3 and not _ccd_mask(g, 0b0000101)
-        monkeypatch.setattr(quiescence, "_perturbation_walk", fabricated_walk)
+        monkeypatch.setattr(quiescence, "_lane_walk", fabricated_kernel)
         assert pq(g) == want
 
     def test_walks_only_the_sizes_below_pq2(self, monkeypatch):
         seen = []
-        real = quiescence._perturbation_walk
+        real = quiescence._lane_walk
 
-        def recording_walk(g, mask, max_steps):
-            seen.append(mask)
-            return real(g, mask, max_steps)
+        def recording_kernel(g, planes, masks, max_steps):
+            seen.extend(masks)
+            return real(g, planes, masks, max_steps)
 
-        monkeypatch.setattr(quiescence, "_perturbation_walk", recording_walk)
+        monkeypatch.setattr(quiescence, "_lane_walk", recording_kernel)
         assert pq(path(7)) == 3
         assert seen == [*subsets_of_size(7, 1), *subsets_of_size(7, 2)]
         assert len(seen) == 28
@@ -599,6 +606,138 @@ class TestPq:
     def test_bad_cap(self):
         with pytest.raises(ValueError, match="max_steps"):
             pq(path(3), max_steps=0)
+
+
+def decision_step(outcome):
+    """The step that decides a walk: its first zero step, or the step at
+    which the oracle saw the cycle close."""
+    kind, detail = outcome
+    if kind == "reached_zero":
+        return detail
+    preperiod, period = detail
+    return preperiod + period
+
+
+def oracle_lanes(outcomes, masks, cap):
+    """The lane kernel's answer at cap from uncapped oracle outcomes, one per
+    lane: (masks[i], t) for the lowest lane i whose first zero step t is in
+    3..cap, or None, and the lanes still undecided at cap. The oracle run
+    with cap stops at step cap, so its outcome is the uncapped one when
+    that is decided by step cap, and cap_exceeded otherwise."""
+    witness = next(
+        ((m, o[1]) for m, o in zip(masks, outcomes)
+         if o[0] == "reached_zero" and 3 <= o[1] <= cap),
+        None,
+    )
+    capped = {m for m, o in zip(masks, outcomes) if decision_step(o) > cap}
+    return witness, capped
+
+
+def kernel_lanes(g, planes, masks, cap):
+    witness, live = quiescence._lane_walk(g, planes, masks, cap)
+    b = _lane_width(g)
+    return witness, {m for i, m in enumerate(masks) if live >> i * b + b - 1 & 1}
+
+
+def assert_lanes_match_oracle(g, lanes, outcome_of):
+    """Sweep the cap from 1 past the last decision step of any lane: at each
+    cap, the kernel's witness, and its capped lanes when it has no witness,
+    equal the oracle's. That pins the step at which every lane is decided."""
+    lanes = [(planes, masks, [outcome_of(m) for m in masks]) for planes, masks in lanes]
+    top = max((decision_step(o) for _, _, outcomes in lanes for o in outcomes), default=0)
+    for cap in range(1, top + 2):
+        for planes, masks, outcomes in lanes:
+            want_witness, want_capped = oracle_lanes(outcomes, masks, cap)
+            witness, capped = kernel_lanes(g, planes, masks, cap)
+            assert witness == want_witness, (g.edges, cap, masks)
+            if witness is None:
+                assert capped == want_capped, (g.edges, cap, masks)
+
+
+def lane_test_graphs():
+    """Every labelled graph of order <= 5, every isomorphism class of order
+    6, and the stars and complete graphs, where perturbation stacks reach
+    +-Delta (the edges of the lane range)."""
+    for n in range(6):
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            yield graph_from_edge_mask(n, edge_mask)
+    for key in enumeration._classes(6, False):
+        yield graph_from_edge_mask(6, key)
+    for d in range(1, 8):
+        yield complete_bipartite(1, d)
+        yield complete(d + 1)
+
+
+class TestLaneWalk:
+    """The lane-parallel perturbation walk against the dict-based oracle,
+    lane by lane and cap by cap."""
+
+    @pytest.mark.parametrize("block_bits", [quiescence.CCD_BLOCK_BITS, 2])
+    def test_cap_sweep_matches_oracle(self, monkeypatch, block_bits):
+        # At 2 block bits, graphs of order 4 to 8 split into several
+        # lower-half blocks (a nonzero high) and several chunks per size.
+        monkeypatch.setattr(quiescence, "CCD_BLOCK_BITS", block_bits)
+        for g in lane_test_graphs():
+            adj = naive.adjacency(g.n, g.edges)
+            outcomes = {}
+
+            def outcome_of(m):
+                if m not in outcomes:
+                    outcomes[m] = naive.zero_invoking_outcome(
+                        adj, {v for v in range(g.n) if m >> v & 1})
+                return outcomes[m]
+
+            lanes = list(_lower_half_lanes(g))
+            for size in range(1, g.n + 1):
+                lanes += _size_lanes(g, size)
+            assert_lanes_match_oracle(g, lanes, outcome_of)
+
+    def test_stacks_reach_the_lane_range(self):
+        # The star's centre holds +Delta when H is its leaves and -Delta when
+        # H is the centre alone; both lie at the ends of [-Delta, Delta].
+        for d in range(1, 8):
+            g = complete_bipartite(1, d)
+            assert perturb(g, vs(g, *range(1, d + 1)))[0] == d
+            assert perturb(g, vs(g, 0))[0] == -d
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_witness_lanes_of_integer_planes(self, n):
+        # No perturbation of a small graph has a witness, so lanes here
+        # start at -L f for integer f in {0, 1, 2}^n (plane w holds f(w) in
+        # each lane). These sum to zero on every component, as perturbations
+        # do, and many first reach zero at step 3 or later. Each lane
+        # stands for its f, which the kernel returns for a witness.
+        seen_witness = False
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            adj, b = naive.adjacency(n, g.edges), _lane_width(g)
+            delta = max(len(adj[v]) for v in adj)
+            fs = []
+            for f in itertools.product(range(3), repeat=n):
+                start = {v: sum(f[w] for w in adj[v]) - len(adj[v]) * f[v] for v in adj}
+                if all(abs(x) <= delta for x in start.values()):
+                    fs.append((f, start))
+            planes = [sum(f[w] << i * b for i, (f, _) in enumerate(fs)) for w in range(n)]
+            outcome = {f: naive.walk_outcome(adj, start) for f, start in fs}
+            assert_lanes_match_oracle(g, [(planes, [f for f, _ in fs])], outcome.get)
+            seen_witness |= any(o[0] == "reached_zero" and o[1] >= 3 for o in outcome.values())
+        assert seen_witness
+
+    def test_a_stack_outside_the_lane_range_raises(self):
+        # f = 2 on the leaves of K_{1,3} puts 6 > Delta = 3 chips on the
+        # centre, which the lanes cannot hold.
+        g = complete_bipartite(1, 3)
+        with pytest.raises(AssertionError, match="lane range"):
+            quiescence._lane_walk(g, [0, 2, 2, 2], [None], DEFAULT_MAX_STEPS)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pq_over_several_chunks_matches_oracle(self, monkeypatch, n):
+        # At 2 block bits each size's masks come in chunks of 4 lanes.
+        monkeypatch.setattr(quiescence, "CCD_BLOCK_BITS", 2)
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            for cap in (1, 2, 3, DEFAULT_MAX_STEPS):
+                assert pq(g, max_steps=cap) == naive_pq(g, cap), (g.edges, cap)
 
 
 @pytest.mark.parametrize(
