@@ -261,7 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=quiescence.DEFAULT_MAX_STEPS)
     p.add_argument("--checkpoint", help="path for resumable progress records")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint file")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for the scan")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="checked (>= 1) but inert: the census runs in one process; a process pool belongs "
+        "to a class-by-class search of orders past 7, where n = 9 takes minutes",
+    )
     p.add_argument("--progress", action="store_true", help="progress lines on stderr")
     p.set_defaults(func=_cmd_search)
 

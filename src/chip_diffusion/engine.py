@@ -8,7 +8,8 @@ so arithmetic can never wrap silently.
 Configurations are tuples indexed by vertex. Every trajectory on a finite
 graph enters a cycle of length 1 or 2; one walker, `_walk`, relies on that and
 detects the cycle from a two-configuration window. `fire`, `run` and the
-perturbation walks in `quiescence` all go through it. The
+one-subset perturbation walk in `quiescence` go through it; the lane walks
+there, which fire many subsets at once in one big int, do not. The
 preperiod, however, has no known bound, so walks keep a step cap that turns a
 would-be hang into a loud error or an explicit cap outcome.
 
@@ -68,6 +69,9 @@ class Orientation:
     def __post_init__(self):
         if len(self.edges) != len(self.arrows):
             raise ValueError("one arrow required per edge")
+        # _flows tests arrows by identity, so a plain 1 must become TO_HIGHER;
+        # a value that is no Arrow raises ValueError.
+        object.__setattr__(self, "arrows", tuple(map(Arrow, self.arrows)))
 
     def arrow(self, u: int, v: int) -> Arrow:
         """Arrow on edge {u, v}, normalized to the (min, max) key."""

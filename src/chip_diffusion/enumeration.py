@@ -22,7 +22,6 @@ searched again for its own first witness."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import re
@@ -67,8 +66,13 @@ def all_edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
 def graph_from_edge_mask(
     n: int, mask: int, pairs: tuple[tuple[int, int], ...] | None = None
 ) -> Graph:
+    """The graph on n vertices whose edges are the pairs (all_edge_pairs(n)
+    if None) selected by mask's bits; a mask with a bit past the last pair,
+    or a negative one, is refused."""
     if pairs is None:
         pairs = all_edge_pairs(n)
+    if mask < 0 or mask >> len(pairs):
+        raise ValueError(f"edge mask {mask:#x} has bits outside [0, {len(pairs)})")
     return Graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
@@ -236,12 +240,6 @@ def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tupl
     return last + 1, witnesses, inconclusive
 
 
-def _verdict(n: int, max_steps: int, key: int) -> SearchWitness | SearchStatus:
-    """The verdict on the class with canonical edge mask key. It is a
-    module-level function, so a process pool can send it to its workers."""
-    return find_zero_not_zero2(graph_from_edge_mask(n, key), max_steps)
-
-
 def search_all_graphs(
     n: int,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -254,13 +252,11 @@ def search_all_graphs(
 ) -> Iterator[SearchWitness]:
     """Run find_zero_not_zero2 over every labelled graph on n vertices,
     yielding witnesses in ascending edge-mask order. It decides each
-    isomorphism class once (module docstring), over a pool of
-    min(workers, classes) processes when that is more than one; the pool has
-    exited before the first chunk. Then it walks the edge masks in chunks: a
-    chunk's counts come from the relabellings of the witness and
-    INCONCLUSIVE classes that fall in it, and each witness mask is searched
-    again for its own first witness. When no class has either verdict, no
-    edge mask is built.
+    isomorphism class once (module docstring), in the calling process. Then
+    it walks the edge masks in chunks: a chunk's counts come from the
+    relabellings of the witness and INCONCLUSIVE classes that fall in it, and
+    each witness mask is searched again for its own first witness. When no
+    class has either verdict, no edge mask is built.
 
     The checkpoint holds one record, atomically replaced after every chunk and
     when the generator closes: "search n max_steps connected_only witnesses
@@ -272,6 +268,11 @@ def search_all_graphs(
     chunk, or once with the recorded totals if a resumed checkpoint has
     nothing left to scan; it counts edge masks scanned, cumulative across a
     resume.
+
+    workers must be >= 1 and does not change the run: the census runs in one
+    process, since at n <= 7 deciding every class takes a fraction of a
+    second, less than generating the classes. A process pool belongs to a
+    class-by-class search of larger orders, where n = 9 takes minutes.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -302,15 +303,7 @@ def search_all_graphs(
 
     bounds = [(s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)]
     keys = _classes(n, connected_only) if bounds else []
-    decide = functools.partial(_verdict, n, max_steps)
-    procs = min(workers, len(keys))  # never more processes than classes
-    if procs > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(procs) as pool:
-            verdicts = list(pool.map(decide, keys, chunksize=-(-len(keys) // (4 * procs))))
-    else:
-        verdicts = list(map(decide, keys))
+    verdicts = [find_zero_not_zero2(graph_from_edge_mask(n, k), max_steps) for k in keys]
 
     # Chunk c holds the edge masks in bounds[c]; only masks >= start count.
     found: dict[int, list[int]] = {}  # chunk -> its witness masks, ascending

@@ -91,12 +91,13 @@ __all__ = [
 # (EXHAUSTIVE_COUNT_LIMIT) accept; the CLI checks a source's order against
 # them before building the graph. They are what these scans accept, not
 # orders whose scan is known to finish (2-core Xeon, CPython 3.11): pq, which
-# walks every subset below pq2 in lanes, took 0.03-0.04, 0.2-0.25 and 1.8-2.0 s
-# on path:18, 21 and 24, and find_zero_not_zero2 1.0 and 7.6 s on path:21
-# and 24, doubling per vertex; pq2 took 0.4 s on path:26 and domination_number 1.4-1.8 s on path:30, but
-# both scan every block whose high part is smaller than their answer (21 on
-# path:63); the count and the endpoint rule took 0.2-0.4 s for path:26, and
-# the count 9-10 s for complete:26, doubling per vertex.
+# walks every subset below pq2 in lanes, took 0.02-0.04, 0.17-0.30 and
+# 1.8-2.1 s on path:18, 21 and 24, and find_zero_not_zero2 0.7-1.0 and
+# 8.5-9.0 s on path:21 and 24, doubling per vertex; pq2 took 0.4 s on path:26
+# and domination_number 1.4-1.8 s on path:30, but both scan every block whose
+# high part is smaller than their answer (21 on path:63); the count and the
+# endpoint rule took 0.2-0.4 s for path:26, and the count 9-10 s for
+# complete:26, doubling per vertex.
 ENUMERATION_LIMIT = 63
 EXHAUSTIVE_COUNT_LIMIT = 26
 # The block scans and the lane walks test up to 2^CCD_BLOCK_BITS subsets per

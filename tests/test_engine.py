@@ -199,6 +199,17 @@ class TestOrientation:
             Orientation(3, g.edges, (Arrow.TO_HIGHER,))
         assert str(err.value) == "one arrow required per edge"
 
+    def test_plain_int_arrows_become_arrows(self):
+        # A plain 1 used to compare equal to TO_HIGHER yet carry no chip, and
+        # 5 was read as FLAT.
+        g = path(2)
+        r = Orientation(2, g.edges, (1,))
+        assert r.arrows == (Arrow.TO_HIGHER,) and r.arrows[0] is Arrow.TO_HIGHER
+        assert r.out_degree(0) == 1 and r.in_degree(1) == 1
+        assert zero_preposition_from_orientation(g, r) == (1, -1)
+        with pytest.raises(ValueError):
+            Orientation(2, g.edges, (5,))
+
     def test_arrow_on_non_edge_names_the_pair(self):
         r = induced_orientation(path(3), (2, 1, 5))
         with pytest.raises(ValueError, match=r"\(2, 0\) is not an edge"):

@@ -1,4 +1,3 @@
-import concurrent.futures
 import functools
 import itertools
 import multiprocessing
@@ -347,13 +346,18 @@ class TestIsomorphismCache:
         assert [p.inconclusive for p in events] == list(itertools.accumulate(undecided))
 
     def test_one_search_per_class_per_search(self, monkeypatch):
-        # Searches inside worker processes do not reach this stub, so it counts
-        # with one worker; two workers must give the same output.
+        # Every class is decided in the calling process, whatever workers is,
+        # so the stub sees each search, and no child process is alive at any
+        # report.
         calls = []
 
         def counting_find(g, max_steps):
             calls.append(canonical_edge_mask(g))
             return find_zero_not_zero2(g, max_steps)
+
+        def report(p: SearchProgress):
+            assert multiprocessing.active_children() == []
+            events.append(p)
 
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", counting_find)
         list(search_all_graphs(5, connected_only=True))
@@ -361,15 +365,15 @@ class TestIsomorphismCache:
         for chunk in (4096, 128):
             monkeypatch.setattr(enumeration, "_CHUNK", chunk)
             runs = []
-            for workers in (1, 2):
+            for workers in (1, 2, 4):
                 calls.clear()
                 events = []
-                found = list(search_all_graphs(5, 2, events.append, workers=workers))
+                found = list(search_all_graphs(5, 2, report, workers=workers))
                 runs.append((found, events))
-                if workers == 1:
-                    assert len(calls) == len(set(calls)) == 34, chunk  # OEIS A000088
-            assert runs[0] == runs[1]
+                assert len(calls) == len(set(calls)) == 34, (chunk, workers)  # OEIS A000088
+            assert runs[0] == runs[1] == runs[2]
             assert runs[0][1][-1] == SearchProgress(5, 1024, 1024, 0, 972)
+            assert len(runs[0][1]) == -(-1024 // chunk)  # one report per chunk
 
     @pytest.mark.parametrize(
         "argv,want",
@@ -398,6 +402,14 @@ class TestGraphCensus:
     def test_mask_bit_maps_to_pair(self):
         g = graph_from_edge_mask(4, 0b000101)
         assert g.edges == ((0, 1), (0, 3))
+
+    @pytest.mark.parametrize("n,mask", [(3, 1 << 3), (3, 1 << 10), (3, -1), (0, 1), (1, 1)])
+    def test_refuses_mask_outside_pairs(self, n, mask):
+        # A stray bit used to be dropped (1 << 10 gave the edgeless graph) and
+        # -1 gave K3.
+        with pytest.raises(ValueError, match=r"^edge mask .* has bits outside \[0, \d+\)$"):
+            graph_from_edge_mask(n, mask)
+        assert graph_from_edge_mask(3, 0b111).edges == ((0, 1), (0, 2), (1, 2))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_total_counts(self, n):
@@ -612,43 +624,11 @@ class TestSearchAllGraphs:
         assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
 
     def test_workers_match_sequential(self, monkeypatch):
-        # Four chunks, so two real worker processes share the scan.
+        # Four chunks; workers does not change the output.
         monkeypatch.setattr(enumeration, "_CHUNK", 16)
         seq = list(search_all_graphs(4, connected_only=True, workers=1))
         par = list(search_all_graphs(4, connected_only=True, workers=2))
         assert seq == par
-
-    @pytest.mark.parametrize(
-        "chunk,workers,want",
-        [(4096, 8, [8]), (128, 64, [34]), (128, 2, [2])],
-    )
-    def test_pool_sized_by_chunks(self, monkeypatch, chunk, workers, want):
-        # The pool decides the 34 classes at n = 5, so it is sized by
-        # min(workers, classes) whatever the chunk size. A stub pool records
-        # the size asked for and decides in-process, so no test here starts
-        # real workers. n = 5 has 1,024 edge masks.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                pass
-
-            def map(self, func, iterable, chunksize=1):
-                return map(func, iterable)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-        events = []
-        got = list(search_all_graphs(5, reporter=events.append, workers=workers))
-        assert sizes == want
-        assert got == []
-        assert events[-1].scanned == events[-1].total == 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_at_every_chunk_boundary(self, tmp_path, monkeypatch, capsys, workers):
@@ -689,29 +669,6 @@ class TestSearchAllGraphs:
             assert cli.main([*argv, "--checkpoint", str(copy), "--resume"]) == 1
             assert capsys.readouterr() == ("", want_err)
 
-    def test_close_lets_workers_exit(self, monkeypatch):
-        # The classes are decided before the first chunk, and the pool's
-        # workers have exited by then, each with code 0: none is left alive
-        # when the scan closes early, and none was killed.
-        monkeypatch.setattr(enumeration, "_CHUNK", 16)
-        workers, alive = [], []
-
-        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-            def shutdown(self, *args, **kwargs):
-                workers.extend(self._processes.values())
-                super().shutdown(*args, **kwargs)
-
-        def stop(p: SearchProgress):
-            alive.extend(multiprocessing.active_children())
-            raise _Interrupt
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        with pytest.raises(_Interrupt):
-            list(search_all_graphs(5, 2, stop, workers=4))
-        assert alive == []
-        assert len(workers) == 4
-        assert [w.exitcode for w in workers] == [0] * 4
-
     def test_witness_pipeline(self, monkeypatch):
         # No real witness is known (that existence is the open question), so
         # fake the per-graph search to exercise emission and ordering.
@@ -720,9 +677,8 @@ class TestSearchAllGraphs:
         assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 5), (4, 6)]
 
     def test_witness_through_worker_pool(self, monkeypatch):
-        # Two real worker processes decide the four classes at n = 3. They
-        # are forked after the patch, so they give the fabricated verdicts too;
-        # the witnesses, found in chunks of two edge masks, equal the serial run's.
+        # workers = 2 gives the fabricated verdicts and the witnesses, found in
+        # chunks of two edge masks, of workers = 1.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         monkeypatch.setattr(enumeration, "_CHUNK", 2)
         runs = []
