@@ -60,13 +60,20 @@ class Arrow(enum.IntEnum):
 class Orientation:
     """Per-edge arrow assignment; edge order matches Graph.edges. The flow
     rule: edge (a, b), a < b, carries a chip a -> b under TO_HIGHER, b -> a
-    under TO_LOWER and none when FLAT; only _flows reads arrows this way."""
+    under TO_LOWER and none when FLAT; only _flows reads arrows this way.
+    edges is kept as a tuple of (a, b) pairs, so an orientation is hashable,
+    and an edge not written with a < b is refused."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
+        edges = tuple((a, b) for a, b in self.edges)
+        for a, b in edges:
+            if not a < b:
+                raise ValueError(f"edge ({a}, {b}) is not written (a, b) with a < b")
+        object.__setattr__(self, "edges", edges)
         if len(self.edges) != len(self.arrows):
             raise ValueError("one arrow required per edge")
         # _flows tests arrows by identity, so a plain 1 must become TO_HIGHER;

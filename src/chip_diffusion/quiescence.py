@@ -16,7 +16,8 @@ exactly when it is CCD.
 Every subset scan is here, one per order, each bounded by ENUMERATION_LIMIT
 or EXHAUSTIVE_COUNT_LIMIT. The block scans test up to 2^CCD_BLOCK_BITS
 subsets per kernel call, and their kernels are built from the same index
-planes (_index_planes):
+planes (_index_planes); a CCD block scan builds one _ccd_context and reads
+it in every block:
   _lower_half_blocks -- mask order: the CCD blocks of the masks below
                         2^(n-1); count_zero2_subsets counts their bits, and
                         paths.check_endpoint_lemma reads them, walking nothing
@@ -93,19 +94,20 @@ __all__ = [
 # orders whose scan is known to finish (2-core Xeon, CPython 3.11): pq, which
 # walks every subset below pq2 in lanes, took 0.02-0.04, 0.17-0.30 and
 # 1.8-2.1 s on path:18, 21 and 24, and find_zero_not_zero2 0.7-1.0 and
-# 8.5-9.0 s on path:21 and 24, doubling per vertex; pq2 took 0.4 s on path:26
-# and domination_number 1.4-1.8 s on path:30, but both scan every block whose
-# high part is smaller than their answer (21 on path:63); the count and the
-# endpoint rule took 0.2-0.4 s for path:26, and the count 9-10 s for
-# complete:26, doubling per vertex.
+# 8.5-9.0 s on path:21 and 24, doubling per vertex; pq2 took 0.01-0.02 s on
+# path:26 and 0.14-0.17 s on path:30, and domination_number 1.4-1.8 s on
+# path:30, but both scan every block whose high part is smaller than their
+# answer (21 on path:63); the count took 4-7 ms and the endpoint rule
+# 0.02-0.03 s for path:26, and the count 1.5-1.7 s for complete:26, doubling
+# per vertex.
 ENUMERATION_LIMIT = 63
 EXHAUSTIVE_COUNT_LIMIT = 26
 # The block scans and the lane walks test up to 2^CCD_BLOCK_BITS subsets per
 # kernel call.
 # Counting path:22, cycle:20, kbip:10,10, path:26 and complete:22 in one
-# process (2-core Xeon, CPython 3.11, two runs) took 3.1-3.7 s at 10 bits,
-# 0.8-1.0 s at 14, 0.7-0.8 s at 16 and 0.7-0.8 s at 18, with peak RSS 16,
-# 16, 18 and 29 MB.
+# process (2-core Xeon, CPython 3.11, two runs) took 0.57-0.62 s at 10 bits,
+# 0.10-0.11 s at 14, 0.09-0.10 s at 16 and 0.13-0.21 s at 18, with peak RSS
+# 15, 15, 18 and 33 MB.
 CCD_BLOCK_BITS = 14
 
 
@@ -186,7 +188,7 @@ def is_ccd(g: Graph, h: VertexSet) -> bool:
 
 
 def _ccd_mask(g: Graph, mask: int) -> bool:
-    return _ccd_block(g, mask, 0, {}) == 1
+    return _ccd_block(g, mask, 0, None) == 1
 
 
 def _index_planes(k: int, stride: int) -> tuple[int, ...]:
@@ -212,6 +214,12 @@ def _lane_ones(lanes: int, stride: int) -> int:
 _INDEX_PLANES = _index_planes(CCD_BLOCK_BITS, 1)
 
 
+def _member_plane(u: int, high: int, k: int) -> int:
+    """The 2^k-bit plane whose bit j is set when vertex u is in high | j."""
+    full = (1 << (1 << k)) - 1
+    return _INDEX_PLANES[u] & full if u < k else full if (high >> u) & 1 else 0
+
+
 def _exact_planes(m: int, k: int) -> list[int]:
     """Exact-count planes of a mask m of low vertices (m < 2^k): bit j of
     plane c is set when exactly c vertices of m are in j. Adding a vertex with
@@ -227,57 +235,104 @@ def _exact_planes(m: int, k: int) -> list[int]:
 
 
 def _count_planes(g: Graph, k: int) -> dict[int, list[int]]:
-    """The exact-count planes P_u of every vertex u with a neighbour among
-    the k low vertices, as {u: P_u}: bit j of P_u[c] is set when exactly c of
-    those neighbours are in j."""
+    """The exact-count planes of every low neighbourhood, as {m: P_m}, m =
+    N(u) & (2^k - 1) over the vertices u: bit j of P_m[c] is set when exactly
+    c vertices of m are in j. Twins share one entry."""
     low = (1 << k) - 1
-    return {u: _exact_planes(nbrs & low, k) for u, nbrs in enumerate(g.nbr_masks) if nbrs & low}
+    return {m: _exact_planes(m, k) for m in {nbrs & low for nbrs in g.nbr_masks}}
 
 
-def _ccd_block(g: Graph, high: int, k: int, counts: dict[int, list[int]]) -> int:
+def _ccd_context(g: Graph, k: int) -> tuple:
+    """The per-scan context of a CCD block scan with k low bits: a tuple
+    (unequal, interior_bad, planed, plain, ends) that _ccd_block reads in
+    every block of the scan. unequal is the scan's _UnequalPlanes memo over
+    _count_planes(g, k). interior_bad is the OR of the bad planes of the
+    interior edges. planed lists the other edges with a low neighbour at
+    either end as (u, v, N(u) & low, N(v) & low, deg u - deg v), plain the
+    edges with none, and ends the endpoints of planed. The context lives as
+    long as its scan, so no state outlives a scan."""
+    full, low = (1 << (1 << k)) - 1, (1 << k) - 1
+    masks = g.nbr_masks
+    unequal = _UnequalPlanes(_count_planes(g, k), full)
+    interior_bad, planed, plain = 0, [], []
+    for u, v in g.edges:
+        lu, lv = masks[u] & low, masks[v] & low
+        offset = masks[u].bit_count() - masks[v].bit_count()
+        if not (lu or lv):
+            plain.append((u, v))
+        elif v < k and (masks[u] | masks[v]) <= low:
+            # Interior (u < v): both ends low, no high neighbour.
+            in_u, in_v = _member_plane(u, 0, k), _member_plane(v, 0, k)
+            interior_bad |= in_u & in_v & unequal[lu, lv, offset]
+            interior_bad |= (full ^ (in_u | in_v)) & unequal[lu, lv, 0]
+        else:
+            planed.append((u, v, lu, lv, offset))
+    ends = tuple(sorted({w for u, v, *_ in planed for w in (u, v)}))
+    return unequal, interior_bad, tuple(planed), tuple(plain), ends
+
+
+class _UnequalPlanes(dict):
+    """The memo of one CCD block scan: (lu, lv, want) -> the plane whose bit j
+    is set when a_u(j) - a_v(j) != want, where a_u(j) = |lu & j|, a_v(j) =
+    |lv & j| and lu, lv are low neighbourhoods. The plane depends on nothing
+    else, so it is computed from planes (_count_planes) on the first lookup
+    of its key and shared by every later block and edge."""
+
+    def __init__(self, planes: dict[int, list[int]], full: int):
+        super().__init__()
+        self.planes, self.full = planes, full
+
+    def __missing__(self, key: tuple[int, int, int]) -> int:
+        lu, lv, want = key
+        cu, cv, equal = self.planes[lu], self.planes[lv], 0
+        for c in range(max(0, want), min(len(cu), len(cv) + want)):
+            equal |= cu[c] & cv[c - want]
+        plane = self[key] = self.full ^ equal
+        return plane
+
+
+def _ccd_block(g: Graph, high: int, k: int, context: tuple) -> int:
     """CCD on the 2^k subsets high | j, j < 2^k, one subset per bit: bit j of
     the result is set exactly when CCD holds for high | j. high has its low k
-    bits clear, 0 <= k <= CCD_BLOCK_BITS, and counts is _count_planes(g, k):
-    the planes depend only on g and k, so a count builds them once for all
-    its blocks, and a k = 0 call passes {}.
+    bits clear, 0 <= k <= CCD_BLOCK_BITS, and context is _ccd_context(g, k),
+    built once per scan, or None for k = 0, which stands for _ccd_context(g,
+    0): no low vertex, so every edge is plain. _ccd_mask passes None, so a
+    single subset builds no context.
 
     Block lemma. For H = high | j, |N(u) & H| = K_u + a_u(j), where the
     constant K_u = |N(u) & high| is the same for the whole block and a_u(j) =
-    |N(u) & j| counts u's neighbours among the k low vertices. a_u is held as
-    exact-count planes: P_u[c] has bit j set when a_u(j) == c. An edge uv
-    outside H passes when K_u + a_u == K_v + a_v. An edge inside H passes
-    when its endpoints have equally many neighbours outside H, deg u -
-    K_u - a_u == deg v - K_v - a_v, which is the same test on a_u - a_v with
-    the offset deg u - deg v added. So each edge costs a few big-int
-    operations for the whole block, and an edge whose endpoints have no low
-    neighbours compares plain popcounts. With k = 0 the block is the single
-    subset high; _ccd_mask is that case.
+    |N(u) & j| counts u's neighbours among the k low vertices. An edge uv
+    outside H passes when K_u + a_u == K_v + a_v, that is a_u - a_v ==
+    K_v - K_u. An edge inside H passes when its endpoints have equally many
+    neighbours outside H, deg u - K_u - a_u == deg v - K_v - a_v, which is
+    the same test with deg u - deg v added to the wanted difference. So an
+    edge costs a few big-int operations for the whole block, ANDed with the
+    membership planes of its ends (_member_plane), and an edge whose
+    endpoints have no low neighbour (both high) compares plain popcounts.
+    With k = 0 the block is the single subset high; _ccd_mask is that case.
+
+    Hoist lemmas, each the reason one piece of work is done once per scan
+    (in _ccd_context) or once per block rather than once per edge:
+    (a) the exact-count planes of a_u depend only on N(u) & low and k;
+    (b) the unequal plane of a difference (bits j with a_u - a_v != want)
+        depends only on (N(u) & low, N(v) & low, want), so blocks and twins
+        share it;
+    (c) an interior edge (both ends low, no high neighbour) has K_u = K_v = 0
+        and index planes as membership planes in every block, so its bad
+        plane is one plane for the scan;
+    (d) a vertex's membership plane and K_u depend on the block, not on the
+        edge, so each block computes them once per vertex.
     """
-    full = (1 << (1 << k)) - 1
+    if context is None:
+        bad, planed, plain = 0, (), g.edges
+    else:
+        unequal, bad, planed, plain, ends = context
     masks = g.nbr_masks
-    bad = 0
-    for u, v in g.edges:
-        if counts and (u in counts or v in counts):
-            nu, nv = masks[u], masks[v]
-            in_u = _INDEX_PLANES[u] & full if u < k else full if (high >> u) & 1 else 0
-            in_v = _INDEX_PLANES[v] & full if v < k else full if (high >> v) & 1 else 0
-            # a_u - a_v must equal want_in for the subsets with the edge
-            # inside H, and want_out for those with it outside.
-            want_out = (nv & high).bit_count() - (nu & high).bit_count()
-            want_in = want_out + nu.bit_count() - nv.bit_count()
-            cu, cv = counts.get(u, [full]), counts.get(v, [full])
-            for want, where in ((want_in, in_u & in_v), (want_out, full ^ (in_u | in_v))):
-                if where:
-                    equal = 0
-                    for c in range(max(0, want), min(len(cu), len(cv) + want)):
-                        equal |= cu[c] & cv[c - want]
-                    bad |= where & ~equal
-            if bad == full:
-                return 0
-            continue
-        # Neither endpoint has a low neighbour, so both are high vertices:
-        # the edge is inside H for the whole block or outside it, with the
-        # same neighbour counts throughout, and plain popcounts decide it.
+    # A plain edge has both ends high, so it is inside H for the whole block
+    # or outside it, with the same neighbour counts throughout, and plain
+    # popcounts decide it. They go first: no big-int work, and they can
+    # reject the block.
+    for u, v in plain:
         u_in = (high >> u) & 1
         if u_in != (high >> v) & 1:
             continue
@@ -286,25 +341,35 @@ def _ccd_block(g: Graph, high: int, k: int, counts: dict[int, list[int]]) -> int
                 return 0
         elif (masks[u] & high).bit_count() != (masks[v] & high).bit_count():
             return 0
+    full = (1 << (1 << k)) - 1
+    if not planed:  # always so at k = 0
+        return full & ~bad
+    inside = {w: _member_plane(w, high, k) for w in ends}
+    outer = {w: (masks[w] & high).bit_count() for w in ends}
+    for u, v, lu, lv, offset in planed:
+        in_u, in_v = inside[u], inside[v]
+        want_out = outer[v] - outer[u]
+        where = in_u & in_v
+        if where:
+            bad |= where & unequal[lu, lv, want_out + offset]
+        where = full ^ (in_u | in_v)
+        if where:
+            bad |= where & unequal[lu, lv, want_out]
+        if bad == full:
+            return 0
     return full & ~bad
 
 
-def _member_plane(u: int, high: int, k: int) -> int:
-    """The 2^k-bit plane whose bit j is set when vertex u is in high | j."""
-    full = (1 << (1 << k)) - 1
-    return _INDEX_PLANES[u] & full if u < k else full if (high >> u) & 1 else 0
-
-
 def _lower_half_blocks(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """The lower-half block scan: (high, k, _ccd_block(g, high, k, counts))
+    """The lower-half block scan: (high, k, _ccd_block(g, high, k, context))
     for the blocks of 2^k consecutive masks below 2^(n-1), in mask order,
-    k = min(CCD_BLOCK_BITS, n - 1), with the count planes built once for all
-    blocks. By the complement lemma these masks stand for every subset. n >= 1.
+    k = min(CCD_BLOCK_BITS, n - 1), with one _ccd_context for all blocks. By
+    the complement lemma these masks stand for every subset. n >= 1.
     """
     k, highs = _lower_half(g.n)
-    counts = _count_planes(g, k)
+    context = _ccd_context(g, k)
     for high in highs:
-        yield high, k, _ccd_block(g, high, k, counts)
+        yield high, k, _ccd_block(g, high, k, context)
 
 
 def _lower_half(n: int) -> tuple[int, range]:
@@ -411,28 +476,42 @@ def _lower_half_lanes(g: Graph) -> Iterator[tuple[list[int], range]]:
 
 def _size_lanes(g: Graph, size: int) -> Iterator[tuple[list[int], list[int]]]:
     """The lanes of the masks of one size, in increasing order:
-    (planes, masks) for chunks of at most 2^CCD_BLOCK_BITS masks, where lane
-    i of plane w holds bit w of masks[i]."""
+    (planes, masks) for chunks of at most 2^CCD_BLOCK_BITS masks, as
+    _mask_planes packs them."""
     masks, b = subsets_of_size(g.n, size), _lane_width(g)
     while chunk := list(islice(masks, 1 << CCD_BLOCK_BITS)):
-        rows = [bytearray((len(chunk) * b + 7) >> 3) for _ in range(g.n)]
-        for i, m in enumerate(chunk):
-            byte, bit = i * b >> 3, 1 << (i * b & 7)
-            while m:
-                rows[(m & -m).bit_length() - 1][byte] |= bit
-                m &= m - 1
-        yield [int.from_bytes(row, "little") for row in rows], chunk
+        yield _mask_planes(g.n, chunk, b), chunk
 
 
-def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int) -> tuple:
+def _mask_planes(n: int, masks: Sequence[int], b: int) -> list[int]:
+    """The membership planes of masks over n vertices in lanes of b bits:
+    lane i of plane w holds bit w of masks[i]."""
+    rows = [bytearray((len(masks) * b + 7) >> 3) for _ in range(n)]
+    for i, m in enumerate(masks):
+        byte, bit = i * b >> 3, 1 << (i * b & 7)
+        while m:
+            rows[(m & -m).bit_length() - 1][byte] |= bit
+            m &= m - 1
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+class _LaneOverflow(AssertionError):
+    """A lane of _lane_walk held a stack outside its range. Raised before any
+    lane decision is read from that configuration; _walk_block catches it."""
+
+
+def _lane_walk(
+    g: Graph, planes: list[int], masks: Sequence, max_steps: int, b: int | None = None
+) -> tuple:
     """The lane-parallel perturbation walk: every lane of the membership
     planes walked at once, one big int per vertex.
 
     Lane i stands for the subset masks[i]; lane i of planes[w] is 1 when w
-    is in it. Each vertex's stacks are one int of len(masks) lanes of b =
-    _lane_width(g) bits, biased by Delta, the maximum degree. The start is
-    linear in the planes: X_v = Delta + sum over w in N(v) of I_w - deg(v) I_v,
-    which is -L 1_H, the perturbation. Steps are numbered as in
+    is in it. Each vertex's stacks are one int of len(masks) lanes of b bits
+    (_lane_width(g) unless given; 2^(b-1) > Delta, the maximum degree),
+    biased by the centre 2^(b-2) of the lane range (0 when b = 1). The start
+    is linear in the planes: X_v = bias + sum over w in N(v) of I_w -
+    deg(v) I_v, which is -L 1_H, the perturbation. Steps are numbered as in
     _perturbation_walk, so at most max_steps - 1 firings are made.
 
     Returns ((masks[i], t), live) for the lowest lane i whose first zero
@@ -455,23 +534,24 @@ def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int) -> 
     No-borrow lemma. Perturbation stacks start in [-Delta, Delta]: a vertex
     outside H gains one chip per neighbour in H, one in H loses one per
     neighbour outside. A firing moves a stack by at most its degree, and the
-    lanes hold [-Delta, 2^(b-1) - 1 - Delta], which contains [-Delta, Delta]
-    since 2^(b-1) > 2 Delta. Python ints are exact, and lanes are read only
-    between firings, so a firing is exact lane by lane whenever its result
-    lies in that range. Every perturbation walk measured stays in [-Delta,
-    Delta] (all labelled graphs of order <= 6, the connected classes of
-    order 7, paths and cycles to 14 vertices, random graphs to 13), but
-    Diffusion in general can leave the start's range: on P3, (1, 0, 1) fires
-    to (0, 2, 0). So the kernel checks every configuration it holds. The
-    start is in range by the above. After a firing, the lowest lane that
-    left the range moved by at most Delta < 2^(b-1) from a held value, so
-    its guard bit is set, and the walk raises rather than decide on a wrong
-    stack.
+    lanes hold [-2^(b-2), 2^(b-2) - 1], which contains [-Delta, Delta] at
+    the default width, since there 2^(b-1) > 2 Delta. Python ints are exact,
+    and lanes are read only between firings, so a firing is exact lane by
+    lane whenever its result lies in that range. Perturbation walks do leave
+    [-Delta, Delta]: on the 4-cube Q4 = C4 x C4 (vertex (i, j) numbered
+    4i + j, Delta = 4) the walk of {0, 2, 3, 5, 6, 8} puts -5 on vertex 11 at
+    step 4, and on P3, (1, 0, 1) fires to (0, 2, 0). So the kernel checks
+    every configuration it holds. After the start or a firing, the lowest
+    lane that left the range is within Delta < 2^(b-1) of a held value or
+    of the bias, so its guard bit is set, and the walk raises _LaneOverflow
+    rather than decide on a wrong stack; _walk_block then re-runs the
+    block wider.
     """
-    deg, b = [m.bit_count() for m in g.nbr_masks], _lane_width(g)
+    deg = [m.bit_count() for m in g.nbr_masks]
+    b = b or _lane_width(g)
     ones = _lane_ones(len(masks), b)
     guard = ones << b - 1
-    low, bias, shift = guard - ones, max(deg, default=0) * ones, b - 1
+    low, bias, shift = guard - ones, ((1 << b - 1) >> 1) * ones, b - 1
     edges = g.edges
     x = [bias - d * p for d, p in zip(deg, planes)]
     for u, v in edges:
@@ -494,7 +574,7 @@ def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int) -> 
         for c in x:
             nonzero |= c ^ bias
         if nonzero & guard:
-            raise AssertionError("a perturbation stack left the lane range")
+            raise _LaneOverflow("a perturbation stack left the lane range")
         zero = live & ~(nonzero + low)
         if zero and t >= 3:
             first = zero & -zero
@@ -514,15 +594,31 @@ def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int) -> 
     return (masks[(first.bit_length() - 1) // b], t), live
 
 
+def _walk_block(g: Graph, planes: list[int], masks: Sequence[int], max_steps: int) -> tuple:
+    """_lane_walk on one block of the witness scan, re-run from the start one
+    bit per lane wider after each _LaneOverflow. Exact: a trip is seen before
+    any lane decision is read from the bad configuration, and the re-run
+    shares nothing with it. It ends, since a walk of at most max_steps steps
+    holds bounded stacks."""
+    b = 0
+    while True:
+        try:
+            if not b:
+                return _lane_walk(g, planes, masks, max_steps)
+            return _lane_walk(g, _mask_planes(g.n, masks, b), masks, max_steps, b)
+        except _LaneOverflow:
+            b = (b or _lane_width(g)) + 1
+
+
 def _lane_scan(g: Graph, blocks: Iterable[tuple], max_steps: int) -> tuple:
-    """The witness scan of find_zero_not_zero2 and pq: run _lane_walk on
+    """The witness scan of find_zero_not_zero2 and pq: run _walk_block on
     each (planes, masks) block in order and return (the first (mask, zero
     step >= 3) or None, whether any lane capped). Each witness is re-checked
     by the CCD test, which holds exactly when step 2 is zero and shares no
     code with the walk."""
     capped = False
     for planes, masks in blocks:
-        witness, live = _lane_walk(g, planes, masks, max_steps)
+        witness, live = _walk_block(g, planes, masks, max_steps)
         if witness:
             if _ccd_mask(g, witness[0]):
                 raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
@@ -591,14 +687,14 @@ def pq2(g: Graph) -> int:
     """Size of the smallest nonempty subset that is zero again at step 2.
 
     Such a subset is exactly a CCD one, the fact the count rests on too, so
-    this is the least-size block scan over _ccd_block, with the count planes
-    built once, and makes no walk. The full vertex set is always CCD.
+    this is the least-size block scan over _ccd_block, with one _ccd_context
+    for all blocks, and makes no walk. The full vertex set is always CCD.
     """
     _check_enumerable(g.n)
     if g.n == 0:
         raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
-    counts = _count_planes(g, min(CCD_BLOCK_BITS, g.n))
-    return _least_size(g, lambda high, k: _ccd_block(g, high, k, counts))
+    context = _ccd_context(g, min(CCD_BLOCK_BITS, g.n))
+    return _least_size(g, lambda high, k: _ccd_block(g, high, k, context))
 
 
 def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:

@@ -210,6 +210,19 @@ class TestOrientation:
         with pytest.raises(ValueError):
             Orientation(2, g.edges, (5,))
 
+    def test_edges_given_as_lists_are_hashable_and_match_the_graph(self):
+        it = Orientation(2, [(0, 1)], (1,))
+        assert it.edges == ((0, 1),)
+        assert hash(it) == hash(Orientation(2, ((0, 1),), (Arrow.TO_HIGHER,)))
+        assert zero_preposition_from_orientation(path(2), it) == (1, -1)
+
+    @pytest.mark.parametrize("edges", [((1, 0),), ((0, 0),), ((0, 1), (2, 1))])
+    def test_edge_not_written_low_high_refused(self, edges):
+        # arrow(a, b) looks up the (min, max) key, so (1, 0) could never be
+        # read, while _flows would move its chip 1 -> 0 under TO_HIGHER.
+        with pytest.raises(ValueError, match=r"is not written \(a, b\) with a < b"):
+            Orientation(3, edges, (Arrow.TO_HIGHER,) * len(edges))
+
     def test_arrow_on_non_edge_names_the_pair(self):
         r = induced_orientation(path(3), (2, 1, 5))
         with pytest.raises(ValueError, match=r"\(2, 0\) is not an edge"):

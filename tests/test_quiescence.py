@@ -13,10 +13,12 @@ from chip_diffusion import (
     VertexSet,
     ZeroStatus,
     all_graphs,
+    check_endpoint_lemma,
     complete,
     complete_bipartite,
     complete_multipartite,
     components_within,
+    count_zero2_subsets,
     cycle,
     domination_number,
     graph_from_edge_mask,
@@ -37,7 +39,7 @@ import chip_diffusion
 from chip_diffusion import enumeration, quiescence
 from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
 from chip_diffusion.graphs import _dominating_mask
-from chip_diffusion.quiescence import _ccd_block, _ccd_mask, _count_planes, _dominating_block
+from chip_diffusion.quiescence import _ccd_block, _ccd_context, _ccd_mask, _dominating_block
 from chip_diffusion.quiescence import _lane_width, _lower_half_lanes, _size_lanes, _zero2_mask
 
 import naive
@@ -119,7 +121,7 @@ def naive_ccd(g, masks):
 
 
 def ccd_block(g, high, k):
-    return _ccd_block(g, high, k, _count_planes(g, k))
+    return _ccd_block(g, high, k, _ccd_context(g, k))
 
 
 def assert_block_matches(g, high, k, want, kernel=ccd_block):
@@ -146,6 +148,83 @@ class TestCcdBlock:
         k = data.draw(st.integers(min_value=0, max_value=g.n))
         high = data.draw(st.integers(min_value=0, max_value=(1 << (g.n - k)) - 1)) << k
         assert_block_matches(g, high, k, naive_ccd(g, range(high, high + (1 << k))))
+
+
+def hoist_test_graphs():
+    """Every labelled graph of order <= 5, every isomorphism class of order
+    6, and complete bipartite and multipartite graphs, whose twins share
+    their low neighbourhoods and so the scan's unequal planes."""
+    for n in range(6):
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            yield graph_from_edge_mask(n, edge_mask)
+    for key in enumeration._classes(6, False):
+        yield graph_from_edge_mask(6, key)
+    for a in range(1, 6):
+        for b in range(a, 10 - a):
+            yield complete_bipartite(a, b)
+    for parts in [(1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 3, 2), (1, 1, 4, 2), (2, 2, 2, 2)]:
+        yield complete_multipartite(parts)
+
+
+def assert_scans_match_naive(g):
+    """count_zero2_subsets and pq2 equal per-mask naive.ccd on g."""
+    table = naive_ccd(g, range(1 << g.n))
+    assert count_zero2_subsets(g) == sum(table), g.edges
+    if g.n:
+        want = min(m.bit_count() for m in range(1, 1 << g.n) if table[m])
+        assert pq2(g) == want, g.edges
+
+
+class TestCcdScanHoists:
+    """The CCD block scans read one _ccd_context per scan (hoist lemmas in
+    _ccd_block's docstring). At 2 and 3 block bits most graphs here span
+    several blocks, so every hoisted plane is read by more than one block."""
+
+    @pytest.mark.parametrize("block_bits", [2, 3])
+    def test_count_and_pq2_match_naive(self, monkeypatch, block_bits):
+        monkeypatch.setattr(quiescence, "CCD_BLOCK_BITS", block_bits)
+        for g in hoist_test_graphs():
+            assert_scans_match_naive(g)
+
+    @given(graphs(min_n=7, max_n=10))
+    @settings(max_examples=40, deadline=None)
+    def test_count_and_pq2_match_naive_n7_to_10(self, g):
+        for block_bits in (2, 3):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(quiescence, "CCD_BLOCK_BITS", block_bits)
+                assert_scans_match_naive(g)
+
+    @pytest.mark.parametrize("block_bits", [2, 3])
+    def test_endpoint_lemma_matches_naive(self, monkeypatch, block_bits):
+        monkeypatch.setattr(quiescence, "CCD_BLOCK_BITS", block_bits)
+        for n in range(2, 11):
+            table = naive_ccd(path(n), range(1 << n))
+            holds = all(
+                (m & 1) != (m >> 1 & 1) and (m >> n - 2 & 1) != (m >> n - 1 & 1)
+                for m in range(1, (1 << n) - 1) if table[m]
+            )
+            assert check_endpoint_lemma(n) == holds, n
+
+    def test_scans_back_to_back_equal_each_alone(self):
+        # These scan with different k (n - 1 for the count, n for pq2) and
+        # share low neighbourhoods, so a memo or plane that outlived its
+        # scan would be read, at the wrong width, by the next one.
+        graphs_ = [path(12), path(7), complete_bipartite(3, 4), cycle(9), path(2)]
+        alone = []
+        for g in graphs_:
+            table = naive_ccd(g, range(1 << g.n))
+            alone.append((sum(table), min(m.bit_count() for m in range(1, 1 << g.n) if table[m])))
+        for order in (graphs_, graphs_[::-1]):
+            got = {g: (count_zero2_subsets(g), pq2(g)) for g in order}
+            assert [got[g] for g in graphs_] == alone
+
+    def test_interior_edges_are_hoisted(self):
+        # path:22 at 14 low bits: (0, 1) .. (11, 12) are interior; (12, 13)
+        # is not, since 13 has the high neighbour 14.
+        unequal, interior_bad, planed, plain, ends = _ccd_context(path(22), 14)
+        assert [(u, v) for u, v, *_ in planed] == [(12, 13), (13, 14), (14, 15)]
+        assert plain == tuple((v, v + 1) for v in range(15, 21))
+        assert interior_bad and len(unequal.planes) == 16 and ends == (12, 13, 14, 15)
 
 
 class TestDominatingBlock:
@@ -738,6 +817,95 @@ class TestLaneWalk:
             g = graph_from_edge_mask(n, edge_mask)
             for cap in (1, 2, 3, DEFAULT_MAX_STEPS):
                 assert pq(g, max_steps=cap) == naive_pq(g, cap), (g.edges, cap)
+
+
+def torus(a, b):
+    """C_a x C_b, vertex (i, j) numbered i * b + j."""
+    return Graph(a * b, [
+        (i * b + j, w) for i in range(a) for j in range(b)
+        for w in ((i + 1) % a * b + j, i * b + (j + 1) % b)
+    ])
+
+
+def naive_stack_range(adj, mask, steps):
+    """The least and largest stack over the first steps of mask's walk."""
+    c = naive.perturb(adj, {v for v in adj if mask >> v & 1})
+    lo = hi = 0
+    for _ in range(steps):
+        lo, hi = min(lo, *c.values()), max(hi, *c.values())
+        c = naive.fire(adj, c)
+    return lo, hi
+
+
+def decided_by_step_2(outcome):
+    kind, detail = outcome
+    return kind == "period_without_zero" or kind == "reached_zero" and detail <= 2
+
+
+def narrow_lane_width(g):
+    """One bit short of _lane_width: 2^(b-1) > Delta still holds, as the
+    guard bit needs, but the lanes hold [-2^(b-2), 2^(b-2) - 1], which
+    misses +Delta once Delta >= 1."""
+    return max((m.bit_count() for m in g.nbr_masks), default=0).bit_length() + 1
+
+
+class TestLaneWidening:
+    """A guard trip re-runs its block one bit wider (_walk_block), so the
+    4-regular tori, whose walks leave [-Delta, Delta], decide."""
+
+    def test_q4_not_found_by_naive_walks(self):
+        g = torus(4, 4)
+        adj = naive.adjacency(g.n, g.edges)
+        assert naive_stack_range(adj, 0b11111, 8) == (-4, 5)
+        outcomes = [
+            naive.zero_invoking_outcome(adj, {v for v in adj if m >> v & 1})
+            for m in range(1 << g.n - 1)
+        ]
+        assert all(map(decided_by_step_2, outcomes))
+        assert quiescence.find_zero_not_zero2(g) is quiescence.SearchStatus.NOT_FOUND
+        # A zero-invoking mask's complement is zero-invoking too, so the
+        # lower half gives every size pq can answer.
+        sizes = [
+            size for m, (kind, _) in enumerate(outcomes) if kind == "reached_zero"
+            for size in (m.bit_count(), g.n - m.bit_count()) if size
+        ]
+        assert pq(g) == min(sizes) == 4
+
+    def test_c4_c5_not_found_and_first_block_matches_naive(self):
+        g = torus(4, 5)
+        adj = naive.adjacency(g.n, g.edges)
+        assert naive_stack_range(adj, 0b1111111, 8) == (-3, 5)
+        planes, masks = next(_lower_half_lanes(g))
+        assert masks == range(1 << quiescence.CCD_BLOCK_BITS)
+        assert all(
+            decided_by_step_2(naive.zero_invoking_outcome(adj, {v for v in adj if m >> v & 1}))
+            for m in masks
+        )
+        assert quiescence._walk_block(g, planes, masks, DEFAULT_MAX_STEPS) == (None, 0)
+        assert quiescence.find_zero_not_zero2(g) is quiescence.SearchStatus.NOT_FOUND
+        assert pq(g) == 6
+
+    def test_forced_narrow_width_gives_identical_results(self, monkeypatch):
+        graphs_ = [g for g in lane_test_graphs() if g.n] + [path(9), cycle(9), torus(3, 4), torus(4, 4)]
+        widths = []
+        real = quiescence._lane_walk
+
+        def recording(g, planes, masks, max_steps, b=None):
+            widths.append(b)
+            return real(g, planes, masks, max_steps, b)
+
+        def results():
+            return [
+                (quiescence.find_zero_not_zero2(g, cap), pq(g, cap))
+                for g in graphs_ for cap in (1, 3, DEFAULT_MAX_STEPS)
+            ]
+
+        monkeypatch.setattr(quiescence, "_lane_walk", recording)
+        want = results()
+        assert not any(widths)  # no block trips at the default width
+        monkeypatch.setattr(quiescence, "_lane_width", narrow_lane_width)
+        assert results() == want
+        assert any(widths)  # some blocks tripped and were re-run wider
 
 
 @pytest.mark.parametrize(
