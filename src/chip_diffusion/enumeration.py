@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -301,41 +302,33 @@ def search_all_graphs(
             os.fsync(fh.fileno())
         os.replace(tmp, ckpt_path)
 
-    bounds = [(s, min(s + _CHUNK, total)) for s in range(start, total, _CHUNK)]
-    keys = _classes(n, connected_only) if bounds else []
+    chunks = range(start, total, _CHUNK)
+    keys = _classes(n, connected_only) if chunks else []
     verdicts = [find_zero_not_zero2(graph_from_edge_mask(n, k), max_steps) for k in keys]
 
-    # Chunk c holds the edge masks in bounds[c]; only masks >= start count.
-    found: dict[int, list[int]] = {}  # chunk -> its witness masks, ascending
+    # The witness and INCONCLUSIVE masks from start on, ascending; the number
+    # of either below a mask is read by bisection.
     witness_keys = [k for k, v in zip(keys, verdicts) if isinstance(v, SearchWitness)]
-    for mask in sorted(_relabellings(n, witness_keys)):
-        if mask >= start:
-            found.setdefault((mask - start) // _CHUNK, []).append(mask)
-    undecided = [0] * len(bounds)  # inconclusive masks per chunk
-    beside = {c: [] for c in found}  # inconclusive masks in chunks with a witness
     undecided_keys = [k for k, v in zip(keys, verdicts) if v is SearchStatus.INCONCLUSIVE]
-    for mask in _relabellings(n, undecided_keys):
-        if mask >= start:
-            c = (mask - start) // _CHUNK
-            undecided[c] += 1
-            if c in beside:
-                beside[c].append(mask)
+    found = sorted(m for m in _relabellings(n, witness_keys) if m >= start)
+    undecided = sorted(m for m in _relabellings(n, undecided_keys) if m >= start)
+    recorded = inconclusive
     try:
-        for c, (_, e) in enumerate(bounds):
-            before = inconclusive
-            for mask in found.get(c, ()):
-                inconclusive = before + sum(m < mask for m in beside[c])
+        for s in chunks:
+            e = min(s + _CHUNK, total)
+            for mask in found[bisect_left(found, s):bisect_left(found, e)]:
+                inconclusive = recorded + bisect_left(undecided, mask)
                 witnesses += 1
                 done = mask + 1
                 yield find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
-            inconclusive = before + undecided[c]
+            inconclusive = recorded + bisect_left(undecided, e)
             done = e
             if ckpt_path is not None:
                 save()
                 saved = done
             if reporter is not None:
                 reporter(SearchProgress(n, done, total, witnesses, inconclusive))
-        if not bounds and reporter is not None:
+        if not chunks and reporter is not None:
             reporter(SearchProgress(n, done, total, witnesses, inconclusive))
     finally:
         if ckpt_path is not None and done != saved:

@@ -23,13 +23,16 @@ it in every block:
                         paths.check_endpoint_lemma reads them, walking nothing
   _least_size        -- ascending size: the smallest nonempty subset a block
                         kernel accepts; pq2 passes _ccd_block, and
-                        domination_number passes _dominating_block
+                        domination_number passes _dominating_block; its size
+                        planes are the exact-count planes (_exact_planes) of
+                        the same index planes
   _lane_scan         -- the witness scan: _lane_walk on blocks of lanes in
                         order, for the first subset whose first zero is after
                         step 2; find_zero_not_zero2 passes the lower-half
                         blocks (_lower_half_lanes) and pq the masks of each
                         size below pq2 (_size_lanes), since pq is pq2 unless
-                        a witness lies below it
+                        a witness lies below it; each block brings the
+                        builder of its planes for a given lane width
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -188,7 +192,9 @@ def is_ccd(g: Graph, h: VertexSet) -> bool:
 
 
 def _ccd_mask(g: Graph, mask: int) -> bool:
-    return _ccd_block(g, mask, 0, None) == 1
+    # The k = 0 context, built without _ccd_context's memo: no low vertex, so
+    # no unequal plane, no interior edge, and every edge plain.
+    return _ccd_block(g, mask, 0, (None, 0, (), g.edges, ())) == 1
 
 
 def _index_planes(k: int, stride: int) -> tuple[int, ...]:
@@ -295,9 +301,8 @@ def _ccd_block(g: Graph, high: int, k: int, context: tuple) -> int:
     """CCD on the 2^k subsets high | j, j < 2^k, one subset per bit: bit j of
     the result is set exactly when CCD holds for high | j. high has its low k
     bits clear, 0 <= k <= CCD_BLOCK_BITS, and context is _ccd_context(g, k),
-    built once per scan, or None for k = 0, which stands for _ccd_context(g,
-    0): no low vertex, so every edge is plain. _ccd_mask passes None, so a
-    single subset builds no context.
+    built once per scan; _ccd_mask passes the k = 0 context, in which every
+    edge is plain, without building it.
 
     Block lemma. For H = high | j, |N(u) & H| = K_u + a_u(j), where the
     constant K_u = |N(u) & high| is the same for the whole block and a_u(j) =
@@ -323,10 +328,7 @@ def _ccd_block(g: Graph, high: int, k: int, context: tuple) -> int:
     (d) a vertex's membership plane and K_u depend on the block, not on the
         edge, so each block computes them once per vertex.
     """
-    if context is None:
-        bad, planed, plain = 0, (), g.edges
-    else:
-        unequal, bad, planed, plain, ends = context
+    unequal, bad, planed, plain, ends = context
     masks = g.nbr_masks
     # A plain edge has both ends high, so it is inside H for the whole block
     # or outside it, with the same neighbour counts throughout, and plain
@@ -462,25 +464,32 @@ def _lane_width(g: Graph) -> int:
     return (2 * max((m.bit_count() for m in g.nbr_masks), default=0)).bit_length() + 1
 
 
-def _lower_half_lanes(g: Graph) -> Iterator[tuple[list[int], range]]:
-    """The lanes of the mask-order scan: (planes, masks) for each block of
-    _lower_half, masks being the block's 2^k masks high | j in order. Lane j
-    of a low vertex's plane is bit j of its index plane, spread to the lane
-    width; a high vertex's plane is all ones or all zeros."""
-    (k, highs), b = _lower_half(g.n), _lane_width(g)
-    index, ones = _index_planes(k, b), _lane_ones(1 << k, b)
+def _lower_half_lanes(g: Graph) -> Iterator[tuple[Callable[[int], list[int]], range]]:
+    """The lane blocks of the mask-order scan: (planes_of, masks) for each
+    block of _lower_half, masks being the block's 2^k masks high | j in order
+    and planes_of(b) their membership planes in lanes of b bits
+    (_block_planes)."""
+    k, highs = _lower_half(g.n)
     for high in highs:
-        planes = [index[w] if w < k else ones if high >> w & 1 else 0 for w in range(g.n)]
-        yield planes, range(high, high + (1 << k))
+        yield partial(_block_planes, g.n, k, high), range(high, high + (1 << k))
 
 
-def _size_lanes(g: Graph, size: int) -> Iterator[tuple[list[int], list[int]]]:
-    """The lanes of the masks of one size, in increasing order:
-    (planes, masks) for chunks of at most 2^CCD_BLOCK_BITS masks, as
-    _mask_planes packs them."""
-    masks, b = subsets_of_size(g.n, size), _lane_width(g)
+def _block_planes(n: int, k: int, high: int, b: int) -> list[int]:
+    """The membership planes of the masks high | j, j < 2^k, in lanes of b
+    bits: lane j of a low vertex's plane is bit j of its index plane at
+    stride b; a high vertex's plane is all ones or all zeros."""
+    index, ones = _index_planes(k, b), _lane_ones(1 << k, b)
+    return [index[w] if w < k else ones if high >> w & 1 else 0 for w in range(n)]
+
+
+def _size_lanes(g: Graph, size: int) -> Iterator[tuple[Callable[[int], list[int]], list[int]]]:
+    """The lane blocks of the masks of one size, in increasing order:
+    (planes_of, masks) for chunks of at most 2^CCD_BLOCK_BITS masks, where
+    planes_of(b) is partial(_mask_planes, n, masks), which packs them in
+    lanes of b bits."""
+    masks = subsets_of_size(g.n, size)
     while chunk := list(islice(masks, 1 << CCD_BLOCK_BITS)):
-        yield _mask_planes(g.n, chunk, b), chunk
+        yield partial(_mask_planes, g.n, chunk), chunk
 
 
 def _mask_planes(n: int, masks: Sequence[int], b: int) -> list[int]:
@@ -500,15 +509,13 @@ class _LaneOverflow(AssertionError):
     lane decision is read from that configuration; _walk_block catches it."""
 
 
-def _lane_walk(
-    g: Graph, planes: list[int], masks: Sequence, max_steps: int, b: int | None = None
-) -> tuple:
+def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int, b: int) -> tuple:
     """The lane-parallel perturbation walk: every lane of the membership
     planes walked at once, one big int per vertex.
 
     Lane i stands for the subset masks[i]; lane i of planes[w] is 1 when w
     is in it. Each vertex's stacks are one int of len(masks) lanes of b bits
-    (_lane_width(g) unless given; 2^(b-1) > Delta, the maximum degree),
+    (_lane_width(g) or wider, so 2^(b-1) > Delta, the maximum degree),
     biased by the centre 2^(b-2) of the lane range (0 when b = 1). The start
     is linear in the planes: X_v = bias + sum over w in N(v) of I_w -
     deg(v) I_v, which is -L 1_H, the perturbation. Steps are numbered as in
@@ -548,7 +555,6 @@ def _lane_walk(
     block wider.
     """
     deg = [m.bit_count() for m in g.nbr_masks]
-    b = b or _lane_width(g)
     ones = _lane_ones(len(masks), b)
     guard = ones << b - 1
     low, bias, shift = guard - ones, ((1 << b - 1) >> 1) * ones, b - 1
@@ -594,31 +600,32 @@ def _lane_walk(
     return (masks[(first.bit_length() - 1) // b], t), live
 
 
-def _walk_block(g: Graph, planes: list[int], masks: Sequence[int], max_steps: int) -> tuple:
-    """_lane_walk on one block of the witness scan, re-run from the start one
-    bit per lane wider after each _LaneOverflow. Exact: a trip is seen before
-    any lane decision is read from the bad configuration, and the re-run
-    shares nothing with it. It ends, since a walk of at most max_steps steps
-    holds bounded stacks."""
-    b = 0
+def _walk_block(
+    g: Graph, planes_of: Callable[[int], list[int]], masks: Sequence[int], max_steps: int
+) -> tuple:
+    """_lane_walk on one block of the witness scan, on the planes_of(b) of
+    the block's own builder, from b = _lane_width(g) up, one bit per lane
+    wider after each _LaneOverflow, each run from the start. Exact: a trip is
+    seen before any lane decision is read from the bad configuration, and the
+    re-run shares nothing with it. It ends, since a walk of at most max_steps
+    steps holds bounded stacks."""
+    b = _lane_width(g)
     while True:
         try:
-            if not b:
-                return _lane_walk(g, planes, masks, max_steps)
-            return _lane_walk(g, _mask_planes(g.n, masks, b), masks, max_steps, b)
+            return _lane_walk(g, planes_of(b), masks, max_steps, b)
         except _LaneOverflow:
-            b = (b or _lane_width(g)) + 1
+            b += 1
 
 
 def _lane_scan(g: Graph, blocks: Iterable[tuple], max_steps: int) -> tuple:
     """The witness scan of find_zero_not_zero2 and pq: run _walk_block on
-    each (planes, masks) block in order and return (the first (mask, zero
+    each (planes_of, masks) block in order and return (the first (mask, zero
     step >= 3) or None, whether any lane capped). Each witness is re-checked
     by the CCD test, which holds exactly when step 2 is zero and shares no
     code with the walk."""
     capped = False
-    for planes, masks in blocks:
-        witness, live = _walk_block(g, planes, masks, max_steps)
+    for planes_of, masks in blocks:
+        witness, live = _walk_block(g, planes_of, masks, max_steps)
         if witness:
             if _ccd_mask(g, witness[0]):
                 raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
@@ -662,18 +669,11 @@ def _least_size(g: Graph, kernel: Callable[[int, int], int]) -> int:
     plane c that meets it (bit j of plane c is set when popcount(j) = c).
     Early stop: every mask in a block has popcount >= p and later blocks
     never have a smaller p, so no block with p >= best can lower best. best
-    starts at n, the full vertex set.
+    starts at n, the full vertex set. The popcount planes are the
+    exact-count planes of all k low vertices, _exact_planes(2^k - 1, k).
     """
-    # The popcount planes are built packed in one int, plane c at bit c*2^k.
-    # The masks with bit i set are those below 2^i moved 2^i bits along and
-    # one plane up, so one shift-OR per bit doubles the masks covered. This
-    # gives _exact_planes((1 << k) - 1, k) at a third of its cost or less for
-    # k <= 9 (it dominated domination_number on 6 vertices), and at twice its
-    # cost, 0.14 against 0.08 ms once per scan, for k = 14.
-    k, packed = min(CCD_BLOCK_BITS, g.n), 1
-    for i in range(k):
-        packed |= packed << (1 << k) + (1 << i)
-    best, sizes = g.n, [packed >> (c << k) & ((1 << (1 << k)) - 1) for c in range(k + 1)]
+    k = min(CCD_BLOCK_BITS, g.n)
+    best, sizes = g.n, _exact_planes((1 << k) - 1, k)
     for p in range(g.n - k + 1):
         if p >= best:
             break

@@ -221,9 +221,9 @@ class TestFindZeroNotZero2:
         # and a cap for any shorter walk, must trip the re-check.
         real = quiescence._lane_walk
 
-        def lying_kernel(g, planes, masks, max_steps):
+        def lying_kernel(g, planes, masks, max_steps, b):
             if 0b010 not in masks:
-                return real(g, planes, masks, max_steps)
+                return real(g, planes, masks, max_steps, b)
             if max_steps < 3:
                 return None, 1
             return (0b010, 3), 0
@@ -239,8 +239,8 @@ class TestFindZeroNotZero2:
         # step 2), so it passes the re-check. Every other lane walks for real.
         real = quiescence._lane_walk
 
-        def late_zero_kernel(g, planes, masks, max_steps):
-            witness, live = real(g, planes, masks, max_steps)
+        def late_zero_kernel(g, planes, masks, max_steps, b):
+            witness, live = real(g, planes, masks, max_steps, b)
             assert witness is None and not live
             return ((0b0001, 3), 0) if 0b0001 in masks else (None, live)
 
@@ -710,19 +710,29 @@ class TestSearchAllGraphs:
         assert partial + resumed == full
         assert events[-1] == want
 
-    def test_close_after_each_witness_counts_only_masks_below(self, tmp_path, monkeypatch):
-        # Chunks of eight edge masks at n = 4. In the first, the witness at
-        # mask 3 has the inconclusive masks 1 and 2 below it and 4 above. A
+    @pytest.mark.parametrize("chunk", [1, 8, enumeration._CHUNK])
+    def test_close_after_each_witness_counts_only_masks_below(self, tmp_path, monkeypatch, chunk):
+        # n = 4 has 64 edge masks: the 15 with two edges are witnesses and
+        # the 6 with one are inconclusive. In chunks of one, each witness is
+        # its chunk's first and last mask. In chunks of eight, the first
+        # holds the witness at mask 3 with the inconclusive masks 1 and 2
+        # below it and 4 above, and the inconclusive masks 4 and 8 lie on
+        # either side of a chunk edge. The default chunk holds all 64. A
         # close right after a witness records the witnesses up to it and the
         # inconclusive masks below it, and a resume then ends as a full run.
+        # Each chunk's report counts the masks below its end.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        monkeypatch.setattr(enumeration, "_CHUNK", 8)
+        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         events = []
         full = list(search_all_graphs(4, reporter=events.append))
         want = events[-1]
         masks = [m for m in range(64) if bin(m).count("1") == 2]
         assert [w.graph for w in full] == [graph_from_edge_mask(4, m) for m in masks]
         assert want == SearchProgress(4, 64, 64, 15, 6)
+        assert [(p.witnesses, p.inconclusive) for p in events] == [
+            (sum(m < p.scanned for m in masks), sum(1 << i < p.scanned for i in range(6)))
+            for p in events
+        ]
         for k, witness in enumerate(masks, 1):
             ckpt = tmp_path / f"after{k}.ckpt"
             stream = search_all_graphs(4, checkpoint=ckpt)

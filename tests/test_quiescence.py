@@ -643,9 +643,8 @@ class TestPq:
         # makes the answer UNKNOWN.
         real = quiescence._lane_walk
 
-        def fabricated_kernel(g, planes, masks, max_steps):
-            witness, live = real(g, planes, masks, max_steps)
-            b = _lane_width(g)
+        def fabricated_kernel(g, planes, masks, max_steps, b):
+            witness, live = real(g, planes, masks, max_steps, b)
             for lane, mask in enumerate(masks):
                 if mask in fake:
                     t, kind = fake[mask]
@@ -664,9 +663,9 @@ class TestPq:
         seen = []
         real = quiescence._lane_walk
 
-        def recording_kernel(g, planes, masks, max_steps):
+        def recording_kernel(g, planes, masks, max_steps, b):
             seen.extend(masks)
-            return real(g, planes, masks, max_steps)
+            return real(g, planes, masks, max_steps, b)
 
         monkeypatch.setattr(quiescence, "_lane_walk", recording_kernel)
         assert pq(path(7)) == 3
@@ -712,9 +711,9 @@ def oracle_lanes(outcomes, masks, cap):
     return witness, capped
 
 
-def kernel_lanes(g, planes, masks, cap):
-    witness, live = quiescence._lane_walk(g, planes, masks, cap)
+def kernel_lanes(g, planes_of, masks, cap):
     b = _lane_width(g)
+    witness, live = quiescence._lane_walk(g, planes_of(b), masks, cap, b)
     return witness, {m for i, m in enumerate(masks) if live >> i * b + b - 1 & 1}
 
 
@@ -722,12 +721,12 @@ def assert_lanes_match_oracle(g, lanes, outcome_of):
     """Sweep the cap from 1 past the last decision step of any lane: at each
     cap, the kernel's witness, and its capped lanes when it has no witness,
     equal the oracle's. That pins the step at which every lane is decided."""
-    lanes = [(planes, masks, [outcome_of(m) for m in masks]) for planes, masks in lanes]
+    lanes = [(planes_of, masks, [outcome_of(m) for m in masks]) for planes_of, masks in lanes]
     top = max((decision_step(o) for _, _, outcomes in lanes for o in outcomes), default=0)
     for cap in range(1, top + 2):
-        for planes, masks, outcomes in lanes:
+        for planes_of, masks, outcomes in lanes:
             want_witness, want_capped = oracle_lanes(outcomes, masks, cap)
-            witness, capped = kernel_lanes(g, planes, masks, cap)
+            witness, capped = kernel_lanes(g, planes_of, masks, cap)
             assert witness == want_witness, (g.edges, cap, masks)
             if witness is None:
                 assert capped == want_capped, (g.edges, cap, masks)
@@ -789,16 +788,19 @@ class TestLaneWalk:
         seen_witness = False
         for edge_mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_edge_mask(n, edge_mask)
-            adj, b = naive.adjacency(n, g.edges), _lane_width(g)
+            adj = naive.adjacency(n, g.edges)
             delta = max(len(adj[v]) for v in adj)
             fs = []
             for f in itertools.product(range(3), repeat=n):
                 start = {v: sum(f[w] for w in adj[v]) - len(adj[v]) * f[v] for v in adj}
                 if all(abs(x) <= delta for x in start.values()):
                     fs.append((f, start))
-            planes = [sum(f[w] << i * b for i, (f, _) in enumerate(fs)) for w in range(n)]
+
+            def planes_of(b):
+                return [sum(f[w] << i * b for i, (f, _) in enumerate(fs)) for w in range(n)]
+
             outcome = {f: naive.walk_outcome(adj, start) for f, start in fs}
-            assert_lanes_match_oracle(g, [(planes, [f for f, _ in fs])], outcome.get)
+            assert_lanes_match_oracle(g, [(planes_of, [f for f, _ in fs])], outcome.get)
             seen_witness |= any(o[0] == "reached_zero" and o[1] >= 3 for o in outcome.values())
         assert seen_witness
 
@@ -807,7 +809,7 @@ class TestLaneWalk:
         # centre, which the lanes cannot hold.
         g = complete_bipartite(1, 3)
         with pytest.raises(AssertionError, match="lane range"):
-            quiescence._lane_walk(g, [0, 2, 2, 2], [None], DEFAULT_MAX_STEPS)
+            quiescence._lane_walk(g, [0, 2, 2, 2], [None], DEFAULT_MAX_STEPS, _lane_width(g))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_pq_over_several_chunks_matches_oracle(self, monkeypatch, n):
@@ -875,23 +877,26 @@ class TestLaneWidening:
         g = torus(4, 5)
         adj = naive.adjacency(g.n, g.edges)
         assert naive_stack_range(adj, 0b1111111, 8) == (-3, 5)
-        planes, masks = next(_lower_half_lanes(g))
+        planes_of, masks = next(_lower_half_lanes(g))
         assert masks == range(1 << quiescence.CCD_BLOCK_BITS)
         assert all(
             decided_by_step_2(naive.zero_invoking_outcome(adj, {v for v in adj if m >> v & 1}))
             for m in masks
         )
-        assert quiescence._walk_block(g, planes, masks, DEFAULT_MAX_STEPS) == (None, 0)
+        assert quiescence._walk_block(g, planes_of, masks, DEFAULT_MAX_STEPS) == (None, 0)
         assert quiescence.find_zero_not_zero2(g) is quiescence.SearchStatus.NOT_FOUND
         assert pq(g) == 6
 
     def test_forced_narrow_width_gives_identical_results(self, monkeypatch):
         graphs_ = [g for g in lane_test_graphs() if g.n] + [path(9), cycle(9), torus(3, 4), torus(4, 4)]
-        widths = []
+        wider = set()  # the kinds of block that ran wider than _lane_width
         real = quiescence._lane_walk
 
-        def recording(g, planes, masks, max_steps, b=None):
-            widths.append(b)
+        def recording(g, planes, masks, max_steps, b):
+            # Lower-half blocks (find_zero_not_zero2) come as a range of
+            # masks, size blocks (pq) as a list.
+            if b > quiescence._lane_width(g):
+                wider.add("lower half" if isinstance(masks, range) else "size")
             return real(g, planes, masks, max_steps, b)
 
         def results():
@@ -902,10 +907,11 @@ class TestLaneWidening:
 
         monkeypatch.setattr(quiescence, "_lane_walk", recording)
         want = results()
-        assert not any(widths)  # no block trips at the default width
+        assert not wider  # no block trips at the default width
         monkeypatch.setattr(quiescence, "_lane_width", narrow_lane_width)
         assert results() == want
-        assert any(widths)  # some blocks tripped and were re-run wider
+        # Each source builds its own wider planes for a block that tripped.
+        assert wider == {"lower half", "size"}
 
 
 @pytest.mark.parametrize(
