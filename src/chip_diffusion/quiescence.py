@@ -485,8 +485,7 @@ def _block_planes(n: int, k: int, high: int, b: int) -> list[int]:
 def _size_lanes(g: Graph, size: int) -> Iterator[tuple[Callable[[int], list[int]], list[int]]]:
     """The lane blocks of the masks of one size, in increasing order:
     (planes_of, masks) for chunks of at most 2^CCD_BLOCK_BITS masks, where
-    planes_of(b) is partial(_mask_planes, n, masks), which packs them in
-    lanes of b bits."""
+    planes_of(b) packs them in lanes of b bits (_mask_planes)."""
     masks = subsets_of_size(g.n, size)
     while chunk := list(islice(masks, 1 << CCD_BLOCK_BITS)):
         yield partial(_mask_planes, g.n, chunk), chunk
