@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import path
-from .quiescence import _check_countable, _lower_half_blocks, _member_plane
+from .quiescence import _check_countable, _lower_half_blocks, _member_planes
 from .quiescence import count_zero2_subsets, pq2
 
 __all__ = [
@@ -73,7 +73,7 @@ def check_endpoint_lemma(n: int) -> bool:
         raise ValueError(f"endpoint rule needs n >= 2, got {n}")
     _check_countable(n)
     for high, k, block in _lower_half_blocks(path(n)):
-        first, second, next_last, last = (_member_plane(u, high, k) for u in (0, 1, n - 2, n - 1))
+        first, second, next_last, last = _member_planes((0, 1, n - 2, n - 1), k, high, 1)
         # Bit 0 of the first block is the empty set, which the rule leaves out.
         if block & ~((first ^ second) & (next_last ^ last)) & (-1 if high else -2):
             return False

@@ -15,9 +15,12 @@ exactly when it is CCD.
 
 Every subset scan is here, one per order, each bounded by ENUMERATION_LIMIT
 or EXHAUSTIVE_COUNT_LIMIT. The block scans test up to 2^CCD_BLOCK_BITS
-subsets per kernel call, and their kernels are built from the same index
-planes (_index_planes); a CCD block scan builds one _ccd_context and reads
-it in every block:
+subsets per kernel call, and their kernels are built from one plane layer:
+the index planes (_index_planes) and a block's all-ones plane (_block_ones),
+each built once per (k, lane stride) and cached, and the membership planes
+of a block (_member_planes), the one place that says which vertices a
+block's masks hold. A CCD block scan builds one _ccd_context and reads it
+in every block:
   _lower_half_blocks -- mask order: the CCD blocks of the masks below
                         2^(n-1); count_zero2_subsets counts their bits, and
                         paths.check_endpoint_lemma reads them, walking nothing
@@ -29,10 +32,11 @@ it in every block:
   _lane_scan         -- the witness scan: _lane_walk on blocks of lanes in
                         order, for the first subset whose first zero is after
                         step 2; find_zero_not_zero2 passes the lower-half
-                        blocks (_lower_half_lanes) and pq the masks of each
-                        size below pq2 (_size_lanes), since pq is pq2 unless
-                        a witness lies below it; each block brings the
-                        builder of its planes for a given lane width
+                        blocks (_lower_half_lanes) and pq, in one scan, the
+                        masks of each size below pq2 (_size_lanes), since pq
+                        is pq2 unless a witness lies below it; each block
+                        brings the builder of its planes, and the scan holds
+                        the lane width, one bit wider after each guard trip
 
 Predicates:
   is_zero2_invoking  -- zero again at step 2 (checked by actually firing; the
@@ -65,8 +69,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import partial
-from itertools import islice
+from functools import cache, partial
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
@@ -101,9 +105,8 @@ __all__ = [
 # 8.5-9.0 s on path:21 and 24, doubling per vertex; pq2 took 0.01-0.02 s on
 # path:26 and 0.14-0.17 s on path:30, and domination_number 1.4-1.8 s on
 # path:30, but both scan every block whose high part is smaller than their
-# answer (21 on path:63); the count took 4-7 ms and the endpoint rule
-# 0.02-0.03 s for path:26, and the count 1.5-1.7 s for complete:26, doubling
-# per vertex.
+# answer (21 on path:63); the count took 4-7 ms and the endpoint rule 7-12 ms
+# for path:26, and the count 1.5-1.7 s for complete:26, doubling per vertex.
 ENUMERATION_LIMIT = 63
 EXHAUSTIVE_COUNT_LIMIT = 26
 # The block scans and the lane walks test up to 2^CCD_BLOCK_BITS subsets per
@@ -197,19 +200,25 @@ def _ccd_mask(g: Graph, mask: int) -> bool:
     return _ccd_block(g, mask, 0, (None, 0, (), g.edges, ())) == 1
 
 
+@cache
 def _index_planes(k: int, stride: int) -> tuple[int, ...]:
-    """X_0..X_{k-1} over 2^k lanes of stride bits: lane j of X_i holds bit i
-    of j. With stride 1 these are the 2^k-bit ints whose bit j is bit i of j."""
-    width = 1 << k
-    planes = []
-    for i in range(k):
-        run = 1 << i
-        plane, period = _lane_ones(run, stride) << run * stride, 2 << i
-        while period < width:
-            plane |= plane << period * stride
-            period <<= 1
-        planes.append(plane)
-    return tuple(planes)
+    """X_0..X_{k-1} over the 2^k lanes of stride bits of a block: lane j of
+    X_i holds bit i of j. With stride 1 these are the 2^k-bit ints whose bit
+    j is bit i of j. Lane 2^(k-1) + j holds the bits of j and bit k - 1, so
+    the table for k is two copies of the table for k - 1, the upper one
+    with bit k - 1 set. Cached per (k, stride), k <= CCD_BLOCK_BITS."""
+    if k == 0:
+        return ()
+    half = (1 << k - 1) * stride
+    lower = _index_planes(k - 1, stride)
+    return (*(x | x << half for x in lower), _block_ones(k - 1, stride) << half)
+
+
+@cache
+def _block_ones(k: int, stride: int) -> int:
+    """The all-ones plane of a block: a 1 in each of its 2^k lanes of stride
+    bits. Cached per (k, stride), as _index_planes."""
+    return _lane_ones(1 << k, stride)
 
 
 def _lane_ones(lanes: int, stride: int) -> int:
@@ -217,23 +226,23 @@ def _lane_ones(lanes: int, stride: int) -> int:
     return ((1 << lanes * stride) - 1) // ((1 << stride) - 1)
 
 
-_INDEX_PLANES = _index_planes(CCD_BLOCK_BITS, 1)
-
-
-def _member_plane(u: int, high: int, k: int) -> int:
-    """The 2^k-bit plane whose bit j is set when vertex u is in high | j."""
-    full = (1 << (1 << k)) - 1
-    return _INDEX_PLANES[u] & full if u < k else full if (high >> u) & 1 else 0
+def _member_planes(vertices: Iterable[int], k: int, high: int, b: int) -> list[int]:
+    """The membership planes of vertices over the block of the 2^k masks
+    high | j, j < 2^k, in lanes of b bits: lane j of vertex w's plane is 1
+    when w is in high | j. A low vertex's plane is its index plane; a high
+    vertex's is all ones or zero, as high holds it or not."""
+    index, ones = _index_planes(k, b), _block_ones(k, b)
+    return [index[w] if w < k else ones if high >> w & 1 else 0 for w in vertices]
 
 
 def _exact_planes(m: int, k: int) -> list[int]:
     """Exact-count planes of a mask m of low vertices (m < 2^k): bit j of
     plane c is set when exactly c vertices of m are in j. Adding a vertex with
     index plane X moves each subset from count c to c + 1 where X is set."""
-    full = (1 << (1 << k)) - 1
+    full, index = _block_ones(k, 1), _index_planes(k, 1)
     exact = [full]
     while m:
-        x = _INDEX_PLANES[(m & -m).bit_length() - 1] & full
+        x = index[(m & -m).bit_length() - 1]
         m &= m - 1
         nx = full ^ x
         exact = [a & nx | b & x for a, b in zip(exact + [0], [0] + exact)]
@@ -257,7 +266,7 @@ def _ccd_context(g: Graph, k: int) -> tuple:
     either end as (u, v, N(u) & low, N(v) & low, deg u - deg v), plain the
     edges with none, and ends the endpoints of planed. The context lives as
     long as its scan, so no state outlives a scan."""
-    full, low = (1 << (1 << k)) - 1, (1 << k) - 1
+    full, low = _block_ones(k, 1), (1 << k) - 1
     masks = g.nbr_masks
     unequal = _UnequalPlanes(_count_planes(g, k), full)
     interior_bad, planed, plain = 0, [], []
@@ -268,7 +277,7 @@ def _ccd_context(g: Graph, k: int) -> tuple:
             plain.append((u, v))
         elif v < k and (masks[u] | masks[v]) <= low:
             # Interior (u < v): both ends low, no high neighbour.
-            in_u, in_v = _member_plane(u, 0, k), _member_plane(v, 0, k)
+            in_u, in_v = _member_planes((u, v), k, 0, 1)
             interior_bad |= in_u & in_v & unequal[lu, lv, offset]
             interior_bad |= (full ^ (in_u | in_v)) & unequal[lu, lv, 0]
         else:
@@ -312,7 +321,7 @@ def _ccd_block(g: Graph, high: int, k: int, context: tuple) -> int:
     neighbours outside H, deg u - K_u - a_u == deg v - K_v - a_v, which is
     the same test with deg u - deg v added to the wanted difference. So an
     edge costs a few big-int operations for the whole block, ANDed with the
-    membership planes of its ends (_member_plane), and an edge whose
+    membership planes of its ends (_member_planes), and an edge whose
     endpoints have no low neighbour (both high) compares plain popcounts.
     With k = 0 the block is the single subset high; _ccd_mask is that case.
 
@@ -343,10 +352,10 @@ def _ccd_block(g: Graph, high: int, k: int, context: tuple) -> int:
                 return 0
         elif (masks[u] & high).bit_count() != (masks[v] & high).bit_count():
             return 0
-    full = (1 << (1 << k)) - 1
+    full = _block_ones(k, 1)
     if not planed:  # always so at k = 0
         return full & ~bad
-    inside = {w: _member_plane(w, high, k) for w in ends}
+    inside = dict(zip(ends, _member_planes(ends, k, high, 1)))
     outer = {w: (masks[w] & high).bit_count() for w in ends}
     for u, v, lu, lv, offset in planed:
         in_u, in_v = inside[u], inside[v]
@@ -467,19 +476,11 @@ def _lane_width(g: Graph) -> int:
 def _lower_half_lanes(g: Graph) -> Iterator[tuple[Callable[[int], list[int]], range]]:
     """The lane blocks of the mask-order scan: (planes_of, masks) for each
     block of _lower_half, masks being the block's 2^k masks high | j in order
-    and planes_of(b) their membership planes in lanes of b bits
-    (_block_planes)."""
+    and planes_of(b) the membership planes of all n vertices in lanes of b
+    bits (_member_planes)."""
     k, highs = _lower_half(g.n)
     for high in highs:
-        yield partial(_block_planes, g.n, k, high), range(high, high + (1 << k))
-
-
-def _block_planes(n: int, k: int, high: int, b: int) -> list[int]:
-    """The membership planes of the masks high | j, j < 2^k, in lanes of b
-    bits: lane j of a low vertex's plane is bit j of its index plane at
-    stride b; a high vertex's plane is all ones or all zeros."""
-    index, ones = _index_planes(k, b), _lane_ones(1 << k, b)
-    return [index[w] if w < k else ones if high >> w & 1 else 0 for w in range(n)]
+        yield partial(_member_planes, range(g.n), k, high), range(high, high + (1 << k))
 
 
 def _size_lanes(g: Graph, size: int) -> Iterator[tuple[Callable[[int], list[int]], list[int]]]:
@@ -505,7 +506,7 @@ def _mask_planes(n: int, masks: Sequence[int], b: int) -> list[int]:
 
 class _LaneOverflow(AssertionError):
     """A lane of _lane_walk held a stack outside its range. Raised before any
-    lane decision is read from that configuration; _walk_block catches it."""
+    lane decision is read from that configuration; _lane_scan catches it."""
 
 
 def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int, b: int) -> tuple:
@@ -550,8 +551,8 @@ def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int, b: 
     every configuration it holds. After the start or a firing, the lowest
     lane that left the range is within Delta < 2^(b-1) of a held value or
     of the bias, so its guard bit is set, and the walk raises _LaneOverflow
-    rather than decide on a wrong stack; _walk_block then re-runs the
-    block wider.
+    rather than decide on a wrong stack; _lane_scan then re-runs the
+    block one bit wider and keeps that width.
     """
     deg = [m.bit_count() for m in g.nbr_masks]
     ones = _lane_ones(len(masks), b)
@@ -599,37 +600,35 @@ def _lane_walk(g: Graph, planes: list[int], masks: Sequence, max_steps: int, b: 
     return (masks[(first.bit_length() - 1) // b], t), live
 
 
-def _walk_block(
-    g: Graph, planes_of: Callable[[int], list[int]], masks: Sequence[int], max_steps: int
-) -> tuple:
-    """_lane_walk on one block of the witness scan, on the planes_of(b) of
-    the block's own builder, from b = _lane_width(g) up, one bit per lane
-    wider after each _LaneOverflow, each run from the start. Exact: a trip is
-    seen before any lane decision is read from the bad configuration, and the
-    re-run shares nothing with it. It ends, since a walk of at most max_steps
-    steps holds bounded stacks."""
-    b = _lane_width(g)
-    while True:
-        try:
-            return _lane_walk(g, planes_of(b), masks, max_steps, b)
-        except _LaneOverflow:
-            b += 1
-
-
 def _lane_scan(g: Graph, blocks: Iterable[tuple], max_steps: int) -> tuple:
-    """The witness scan of find_zero_not_zero2 and pq: run _walk_block on
-    each (planes_of, masks) block in order and return (the first (mask, zero
-    step >= 3) or None, whether any lane capped). Each witness is re-checked
-    by the CCD test, which holds exactly when step 2 is zero and shares no
-    code with the walk."""
-    capped = False
+    """The witness scan of find_zero_not_zero2 and pq: _lane_walk on each
+    (planes_of, masks) block in order, on planes_of(b), the block's own
+    planes in lanes of b bits. Returns (witness, capped): witness is the
+    first (mask, zero step >= 3) or None; capped is None, or the mask of the
+    lowest capped lane in the first block before the witness's that capped
+    a lane. Each witness is re-checked by the CCD test, which holds exactly
+    when step 2 is zero and shares no code with the walk.
+
+    The scan holds the lane width b, from _lane_width(g). A block that trips
+    the guard (_LaneOverflow) is walked again from the start one bit per
+    lane wider, and b stays wider for the rest of the scan. Exact: a trip is
+    seen before any lane decision is read from the bad configuration, and
+    the re-run shares nothing with it. It ends, since a walk of at most
+    max_steps steps holds bounded stacks."""
+    b, capped = _lane_width(g), None
     for planes_of, masks in blocks:
-        witness, live = _walk_block(g, planes_of, masks, max_steps)
+        while True:
+            try:
+                witness, live = _lane_walk(g, planes_of(b), masks, max_steps, b)
+                break
+            except _LaneOverflow:
+                b += 1
         if witness:
             if _ccd_mask(g, witness[0]):
                 raise AssertionError("CCD holds (zero at step 2) but first zero is at step >= 3")
             return witness, capped
-        capped = capped or live != 0
+        if live and capped is None:
+            capped = masks[((live & -live).bit_length() - 1) // b]
     return None, capped
 
 
@@ -701,19 +700,18 @@ def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
     smaller witness exists. Lemma: every CCD subset is zero at step 2, so
     pq <= pq2. A nonempty subset smaller than pq2 is not CCD (nor a no-op,
     which is CCD), so it is nonzero at steps 1 and 2: if zero-invoking, it is
-    a witness. So only sizes 1 .. pq2 - 1 are walked, ascending, by the
-    witness scan. UNKNOWN when a size below the answer had a capped subset;
-    pq2 = 1 is exact at any cap.
+    a witness. So only sizes 1 .. pq2 - 1 are walked, ascending, in one
+    witness scan. UNKNOWN when a size below the answer had a capped subset:
+    the scan's first capped lane has the least capped size. pq2 = 1 is
+    exact at any cap.
     """
     _check_enumerable(g.n)
     _check_max_steps(max_steps)
-    best, capped_below = pq2(g), False
-    for k in range(1, best):
-        witness, capped = _lane_scan(g, _size_lanes(g, k), max_steps)
-        if witness:
-            return UNKNOWN if capped_below else k
-        capped_below = capped_below or capped
-    return UNKNOWN if capped_below else best
+    best = pq2(g)
+    blocks = chain.from_iterable(_size_lanes(g, k) for k in range(1, best))
+    witness, capped = _lane_scan(g, blocks, max_steps)
+    size = witness[0].bit_count() if witness else best
+    return UNKNOWN if capped is not None and capped.bit_count() < size else size
 
 
 def _dominating_block(g: Graph, high: int, k: int) -> int:
@@ -721,18 +719,16 @@ def _dominating_block(g: Graph, high: int, k: int) -> int:
     bit j of the result is set exactly when high | j dominates g, by the
     block lemma of domination_number. high has its low k bits clear and
     0 <= k <= CCD_BLOCK_BITS."""
-    block, low = (1 << (1 << k)) - 1, (1 << k) - 1
+    block, low, index = _block_ones(k, 1), (1 << k) - 1, _index_planes(k, 1)
     for v, nbrs in enumerate(g.nbr_masks):
         closed = nbrs | 1 << v
         if closed & high:
             continue
         hit, m = 0, closed & low
         while m:
-            # Masked by block, hit stays inside it (so block = hit is the AND)
-            # and each OR stays as short as the block.
-            hit |= _INDEX_PLANES[(m & -m).bit_length() - 1] & block
+            hit |= index[(m & -m).bit_length() - 1]
             m &= m - 1
-        block = hit
+        block &= hit
     return block
 
 
@@ -772,4 +768,4 @@ def find_zero_not_zero2(
         mask, t = witness
         note = f"zero restored at step {t}, nonzero at step 2"
         return SearchWitness(g, VertexSet(g.n, mask), t, note)
-    return SearchStatus.INCONCLUSIVE if capped else SearchStatus.NOT_FOUND
+    return SearchStatus.NOT_FOUND if capped is None else SearchStatus.INCONCLUSIVE

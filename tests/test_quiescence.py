@@ -746,6 +746,36 @@ def lane_test_graphs():
         yield complete(d + 1)
 
 
+class TestPlaneTables:
+    """The cached plane tables against _mask_planes, which packs each mask
+    bit by bit and shares no code with them."""
+
+    @pytest.mark.parametrize("stride", range(1, 7))
+    def test_index_planes_pack_the_lane_numbers(self, stride):
+        for k in range(9):
+            want = tuple(quiescence._mask_planes(k, range(1 << k), stride))
+            assert quiescence._index_planes(k, stride) == want, k
+
+    @pytest.mark.parametrize("stride", range(1, 7))
+    def test_member_planes_pack_the_block_masks(self, stride):
+        # (n, k, high): blocks with no high part, with high vertices in and
+        # out of high, and a block of one mask.
+        for n, k, high in [(3, 2, 0), (5, 2, 0b10100), (8, 3, 0b11001000), (9, 8, 1 << 8),
+                           (12, 5, 0b101011100000), (4, 0, 0b1010)]:
+            want = quiescence._mask_planes(n, range(high, high + (1 << k)), stride)
+            assert quiescence._member_planes(range(n), k, high, stride) == want, (n, k, high)
+
+    def test_exact_planes_of_all_low_vertices_are_popcounts(self):
+        for k in range(9):
+            planes = quiescence._exact_planes((1 << k) - 1, k)
+            assert len(planes) == k + 1
+            for c, plane in enumerate(planes):
+                assert [plane >> j & 1 for j in range(1 << k)] == [
+                    int(j.bit_count() == c) for j in range(1 << k)
+                ], (k, c)
+                assert plane >> (1 << k) == 0, (k, c)
+
+
 class TestLaneWalk:
     """The lane-parallel perturbation walk against the dict-based oracle,
     lane by lane and cap by cap."""
@@ -852,8 +882,9 @@ def narrow_lane_width(g):
 
 
 class TestLaneWidening:
-    """A guard trip re-runs its block one bit wider (_walk_block), so the
-    4-regular tori, whose walks leave [-Delta, Delta], decide."""
+    """A guard trip re-runs its block one bit wider, and the witness scan
+    (_lane_scan) keeps that width for the rest of the scan, so the 4-regular
+    tori, whose walks leave [-Delta, Delta], decide."""
 
     def test_q4_not_found_by_naive_walks(self):
         g = torus(4, 4)
@@ -883,7 +914,7 @@ class TestLaneWidening:
             decided_by_step_2(naive.zero_invoking_outcome(adj, {v for v in adj if m >> v & 1}))
             for m in masks
         )
-        assert quiescence._walk_block(g, planes_of, masks, DEFAULT_MAX_STEPS) == (None, 0)
+        assert quiescence._lane_scan(g, [(planes_of, masks)], DEFAULT_MAX_STEPS) == (None, None)
         assert quiescence.find_zero_not_zero2(g) is quiescence.SearchStatus.NOT_FOUND
         assert pq(g) == 6
 
@@ -912,6 +943,34 @@ class TestLaneWidening:
         assert results() == want
         # Each source builds its own wider planes for a block that tripped.
         assert wider == {"lower half", "size"}
+
+    def test_a_scan_keeps_the_width_of_its_first_trip(self, monkeypatch):
+        # At 2 block bits, P9's lower half comes in 64 blocks of 4 masks and
+        # each size below pq2 = 3 in chunks of 4. At the narrow width the
+        # lanes hold [-2, 1], and {0, 2} puts 2 chips on vertex 1, so both
+        # scans trip in an early block: mask 5 is in the second lower-half
+        # block and in the first chunk of size 2.
+        monkeypatch.setattr(quiescence, "CCD_BLOCK_BITS", 2)
+        monkeypatch.setattr(quiescence, "_lane_width", narrow_lane_width)
+        calls = []  # (masks, b) of each _lane_walk call
+        real = quiescence._lane_walk
+
+        def recording(g, planes, masks, max_steps, b):
+            calls.append((list(masks), b))
+            return real(g, planes, masks, max_steps, b)
+
+        monkeypatch.setattr(quiescence, "_lane_walk", recording)
+        g = path(9)
+        narrow = narrow_lane_width(g)
+        for scan in (quiescence.find_zero_not_zero2, pq):
+            calls.clear()
+            scan(g)
+            widths = [b for _, b in calls]
+            trip = widths.index(narrow + 1)  # the re-run of the first block that tripped
+            assert calls[trip - 1] == (calls[trip][0], narrow)
+            assert trip + 1 < len(calls), scan  # blocks follow the trip
+            assert widths == sorted(widths), scan
+            assert narrow not in widths[trip:], scan
 
 
 @pytest.mark.parametrize(
