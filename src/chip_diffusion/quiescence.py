@@ -9,9 +9,9 @@ one subset and keeps its cycle's configurations; it serves is_zero_invoking
 and the step-2 check behind is_zero2_invoking, and it is the independent
 check of the other. _lane_walk walks many subsets at once, one lane of a big
 int each, and serves the witness scans; its docstring holds the no-borrow
-lemma that makes the lanes exact. The CCD kernel _ccd_block serves is_ccd
-and the CCD block scans, which rest on one fact: a subset is zero at step 2
-exactly when it is CCD.
+lemma that makes the lanes exact. The CCD block scans rest on one fact: a
+subset is zero at step 2 exactly when it is CCD; is_ccd is their block
+lemma at k = 0, the plain-edge rule (_plain_ccd) on every edge.
 
 Every subset scan is here, one per order, each bounded by ENUMERATION_LIMIT
 or EXHAUSTIVE_COUNT_LIMIT. The block scans test up to 2^CCD_BLOCK_BITS
@@ -19,14 +19,14 @@ subsets per kernel call, and their kernels are built from one plane layer:
 the index planes (_index_planes) and a block's all-ones plane (_block_ones),
 each built once per (k, lane stride) and cached, and the membership planes
 of a block (_member_planes), the one place that says which vertices a
-block's masks hold. A CCD block scan builds one _ccd_context and reads it
-in every block:
-  _lower_half_blocks -- mask order: the CCD blocks of the masks below
+block's masks hold. A block scan builds its one kernel with a factory
+kernel_for(g, k), a closure that tests a block per call:
+  _lower_half_blocks -- mask order: the _ccd_kernel blocks of the masks below
                         2^(n-1); count_zero2_subsets counts their bits, and
                         paths.check_endpoint_lemma reads them, walking nothing
   _least_size        -- ascending size: the smallest nonempty subset a block
-                        kernel accepts; pq2 passes _ccd_block, and
-                        domination_number passes _dominating_block; its size
+                        kernel accepts; pq2 passes _ccd_kernel, and
+                        domination_number _dominating_kernel; its size
                         planes are the exact-count planes (_exact_planes) of
                         the same index planes
   _lane_scan         -- the witness scan: _lane_walk on blocks of lanes in
@@ -103,7 +103,7 @@ __all__ = [
 # walks every subset below pq2 in lanes, took 0.02-0.04, 0.17-0.30 and
 # 1.8-2.1 s on path:18, 21 and 24, and find_zero_not_zero2 0.7-1.0 and
 # 8.5-9.0 s on path:21 and 24, doubling per vertex; pq2 took 0.01-0.02 s on
-# path:26 and 0.14-0.17 s on path:30, and domination_number 1.4-1.8 s on
+# path:26 and 0.14-0.17 s on path:30, and domination_number 0.20-0.29 s on
 # path:30, but both scan every block whose high part is smaller than their
 # answer (21 on path:63); the count took 4-7 ms and the endpoint rule 7-12 ms
 # for path:26, and the count 1.5-1.7 s for complete:26, doubling per vertex.
@@ -195,9 +195,23 @@ def is_ccd(g: Graph, h: VertexSet) -> bool:
 
 
 def _ccd_mask(g: Graph, mask: int) -> bool:
-    # The k = 0 context, built without _ccd_context's memo: no low vertex, so
-    # no unequal plane, no interior edge, and every edge plain.
-    return _ccd_block(g, mask, 0, (None, 0, (), g.edges, ())) == 1
+    # The block lemma at k = 0: no low vertex, so every edge is plain.
+    return _plain_ccd(g.nbr_masks, g.edges, mask)
+
+
+def _plain_ccd(masks: Sequence[int], edges: Iterable[tuple[int, int]], high: int) -> bool:
+    """CCD on plain edges (both ends high, masks[w] = N(w)): each is inside
+    high | j for every j or outside, so plain popcounts decide it."""
+    for u, v in edges:
+        u_in = (high >> u) & 1
+        if u_in != (high >> v) & 1:
+            continue
+        if u_in:
+            if (masks[u] & ~high).bit_count() != (masks[v] & ~high).bit_count():
+                return False
+        elif (masks[u] & high).bit_count() != (masks[v] & high).bit_count():
+            return False
+    return True
 
 
 @cache
@@ -249,26 +263,42 @@ def _exact_planes(m: int, k: int) -> list[int]:
     return exact
 
 
-def _count_planes(g: Graph, k: int) -> dict[int, list[int]]:
-    """The exact-count planes of every low neighbourhood, as {m: P_m}, m =
-    N(u) & (2^k - 1) over the vertices u: bit j of P_m[c] is set when exactly
-    c vertices of m are in j. Twins share one entry."""
-    low = (1 << k) - 1
-    return {m: _exact_planes(m, k) for m in {nbrs & low for nbrs in g.nbr_masks}}
+def _ccd_kernel(g: Graph, k: int) -> Callable[[int], int]:
+    """The CCD kernel of a scan with k low bits, 0 <= k <= CCD_BLOCK_BITS:
+    bit j of block(high) is set exactly when CCD holds for high | j, j < 2^k,
+    where high has its low k bits clear. Built once per scan, it holds the
+    scan's _UnequalPlanes memo, the OR of the interior edges' bad planes, the
+    plain edges, the other edges as (u, v, N(u) & low, N(v) & low, deg u -
+    deg v) and their ends; no state outlives its scan.
 
+    Block lemma. For H = high | j, |N(u) & H| = K_u + a_u(j), where the
+    constant K_u = |N(u) & high| is the same for the whole block and a_u(j) =
+    |N(u) & j| counts u's neighbours among the k low vertices. An edge uv
+    outside H passes when K_u + a_u == K_v + a_v, that is a_u - a_v ==
+    K_v - K_u. An edge inside H passes when its endpoints have equally many
+    neighbours outside H, deg u - K_u - a_u == deg v - K_v - a_v, which is
+    the same test with deg u - deg v added to the wanted difference. So an
+    edge costs a few big-int operations for the whole block, ANDed with the
+    membership planes of its ends (_member_planes), and an edge whose
+    endpoints have no low neighbour (both high) is plain: _plain_ccd decides
+    it, first in every block. With k = 0 every edge is plain and the block
+    is the single subset high; _ccd_mask is that case.
 
-def _ccd_context(g: Graph, k: int) -> tuple:
-    """The per-scan context of a CCD block scan with k low bits: a tuple
-    (unequal, interior_bad, planed, plain, ends) that _ccd_block reads in
-    every block of the scan. unequal is the scan's _UnequalPlanes memo over
-    _count_planes(g, k). interior_bad is the OR of the bad planes of the
-    interior edges. planed lists the other edges with a low neighbour at
-    either end as (u, v, N(u) & low, N(v) & low, deg u - deg v), plain the
-    edges with none, and ends the endpoints of planed. The context lives as
-    long as its scan, so no state outlives a scan."""
+    Hoist lemmas, each the reason one piece of work is done once per scan
+    (when the kernel is built) or once per block rather than once per edge:
+    (a) the exact-count planes of a_u depend only on N(u) & low and k;
+    (b) the unequal plane of a difference (bits j with a_u - a_v != want)
+        depends only on (N(u) & low, N(v) & low, want), so blocks and twins
+        share it;
+    (c) an interior edge (both ends low, no high neighbour) has K_u = K_v = 0
+        and index planes as membership planes in every block, so its bad
+        plane is one plane for the scan;
+    (d) a vertex's membership plane and K_u depend on the block, not on the
+        edge, so each block computes them once per vertex.
+    """
     full, low = _block_ones(k, 1), (1 << k) - 1
     masks = g.nbr_masks
-    unequal = _UnequalPlanes(_count_planes(g, k), full)
+    unequal = _UnequalPlanes(g, k)
     interior_bad, planed, plain = 0, [], []
     for u, v in g.edges:
         lu, lv = masks[u] & low, masks[v] & low
@@ -283,19 +313,43 @@ def _ccd_context(g: Graph, k: int) -> tuple:
         else:
             planed.append((u, v, lu, lv, offset))
     ends = tuple(sorted({w for u, v, *_ in planed for w in (u, v)}))
-    return unequal, interior_bad, tuple(planed), tuple(plain), ends
+
+    def block(high: int) -> int:
+        # Plain edges go first: no big-int work, and they can reject the block.
+        if not _plain_ccd(masks, plain, high):
+            return 0
+        bad = interior_bad
+        inside = dict(zip(ends, _member_planes(ends, k, high, 1)))
+        outer = {w: (masks[w] & high).bit_count() for w in ends}
+        for u, v, lu, lv, offset in planed:
+            in_u, in_v = inside[u], inside[v]
+            want_out = outer[v] - outer[u]
+            where = in_u & in_v
+            if where:
+                bad |= where & unequal[lu, lv, want_out + offset]
+            where = full ^ (in_u | in_v)
+            if where:
+                bad |= where & unequal[lu, lv, want_out]
+            if bad == full:
+                return 0
+        return full & ~bad
+
+    return block
 
 
 class _UnequalPlanes(dict):
     """The memo of one CCD block scan: (lu, lv, want) -> the plane whose bit j
     is set when a_u(j) - a_v(j) != want, where a_u(j) = |lu & j|, a_v(j) =
     |lv & j| and lu, lv are low neighbourhoods. The plane depends on nothing
-    else, so it is computed from planes (_count_planes) on the first lookup
-    of its key and shared by every later block and edge."""
+    else, so it is computed from the exact-count planes of the low
+    neighbourhoods, built with the memo, on the first lookup of its key and
+    shared by every later block and edge."""
 
-    def __init__(self, planes: dict[int, list[int]], full: int):
+    def __init__(self, g: Graph, k: int):
         super().__init__()
-        self.planes, self.full = planes, full
+        low = (1 << k) - 1
+        self.full = _block_ones(k, 1)
+        self.planes = {m: _exact_planes(m, k) for m in {nbrs & low for nbrs in g.nbr_masks}}
 
     def __missing__(self, key: tuple[int, int, int]) -> int:
         lu, lv, want = key
@@ -306,81 +360,16 @@ class _UnequalPlanes(dict):
         return plane
 
 
-def _ccd_block(g: Graph, high: int, k: int, context: tuple) -> int:
-    """CCD on the 2^k subsets high | j, j < 2^k, one subset per bit: bit j of
-    the result is set exactly when CCD holds for high | j. high has its low k
-    bits clear, 0 <= k <= CCD_BLOCK_BITS, and context is _ccd_context(g, k),
-    built once per scan; _ccd_mask passes the k = 0 context, in which every
-    edge is plain, without building it.
-
-    Block lemma. For H = high | j, |N(u) & H| = K_u + a_u(j), where the
-    constant K_u = |N(u) & high| is the same for the whole block and a_u(j) =
-    |N(u) & j| counts u's neighbours among the k low vertices. An edge uv
-    outside H passes when K_u + a_u == K_v + a_v, that is a_u - a_v ==
-    K_v - K_u. An edge inside H passes when its endpoints have equally many
-    neighbours outside H, deg u - K_u - a_u == deg v - K_v - a_v, which is
-    the same test with deg u - deg v added to the wanted difference. So an
-    edge costs a few big-int operations for the whole block, ANDed with the
-    membership planes of its ends (_member_planes), and an edge whose
-    endpoints have no low neighbour (both high) compares plain popcounts.
-    With k = 0 the block is the single subset high; _ccd_mask is that case.
-
-    Hoist lemmas, each the reason one piece of work is done once per scan
-    (in _ccd_context) or once per block rather than once per edge:
-    (a) the exact-count planes of a_u depend only on N(u) & low and k;
-    (b) the unequal plane of a difference (bits j with a_u - a_v != want)
-        depends only on (N(u) & low, N(v) & low, want), so blocks and twins
-        share it;
-    (c) an interior edge (both ends low, no high neighbour) has K_u = K_v = 0
-        and index planes as membership planes in every block, so its bad
-        plane is one plane for the scan;
-    (d) a vertex's membership plane and K_u depend on the block, not on the
-        edge, so each block computes them once per vertex.
-    """
-    unequal, bad, planed, plain, ends = context
-    masks = g.nbr_masks
-    # A plain edge has both ends high, so it is inside H for the whole block
-    # or outside it, with the same neighbour counts throughout, and plain
-    # popcounts decide it. They go first: no big-int work, and they can
-    # reject the block.
-    for u, v in plain:
-        u_in = (high >> u) & 1
-        if u_in != (high >> v) & 1:
-            continue
-        if u_in:
-            if (masks[u] & ~high).bit_count() != (masks[v] & ~high).bit_count():
-                return 0
-        elif (masks[u] & high).bit_count() != (masks[v] & high).bit_count():
-            return 0
-    full = _block_ones(k, 1)
-    if not planed:  # always so at k = 0
-        return full & ~bad
-    inside = dict(zip(ends, _member_planes(ends, k, high, 1)))
-    outer = {w: (masks[w] & high).bit_count() for w in ends}
-    for u, v, lu, lv, offset in planed:
-        in_u, in_v = inside[u], inside[v]
-        want_out = outer[v] - outer[u]
-        where = in_u & in_v
-        if where:
-            bad |= where & unequal[lu, lv, want_out + offset]
-        where = full ^ (in_u | in_v)
-        if where:
-            bad |= where & unequal[lu, lv, want_out]
-        if bad == full:
-            return 0
-    return full & ~bad
-
-
 def _lower_half_blocks(g: Graph) -> Iterator[tuple[int, int, int]]:
-    """The lower-half block scan: (high, k, _ccd_block(g, high, k, context))
-    for the blocks of 2^k consecutive masks below 2^(n-1), in mask order,
-    k = min(CCD_BLOCK_BITS, n - 1), with one _ccd_context for all blocks. By
-    the complement lemma these masks stand for every subset. n >= 1.
+    """The lower-half block scan: (high, k, block) for the blocks of 2^k
+    consecutive masks below 2^(n-1), in mask order, k = min(CCD_BLOCK_BITS,
+    n - 1), where block is the verdict of the scan's one _ccd_kernel(g, k).
+    By the complement lemma these masks stand for every subset. n >= 1.
     """
     k, highs = _lower_half(g.n)
-    context = _ccd_context(g, k)
+    kernel = _ccd_kernel(g, k)
     for high in highs:
-        yield high, k, _ccd_block(g, high, k, context)
+        yield high, k, kernel(high)
 
 
 def _lower_half(n: int) -> tuple[int, range]:
@@ -656,9 +645,10 @@ def _check_enumerable(n: int) -> None:
         )
 
 
-def _least_size(g: Graph, kernel: Callable[[int, int], int]) -> int:
+def _least_size(g: Graph, kernel_for: Callable[[Graph, int], Callable[[int], int]]) -> int:
     """The least-size block scan: the size of the smallest nonempty subset
-    that a block kernel accepts, where bit j of kernel(high, k) says whether
+    that a block kernel accepts. The scan chooses k once and builds its one
+    kernel = kernel_for(g, k), where bit j of kernel(high) says whether
     high | j is accepted. The kernel must accept the full vertex set.
 
     Blocks have k = min(CCD_BLOCK_BITS, n) low bits, and their high parts go
@@ -671,12 +661,13 @@ def _least_size(g: Graph, kernel: Callable[[int, int], int]) -> int:
     exact-count planes of all k low vertices, _exact_planes(2^k - 1, k).
     """
     k = min(CCD_BLOCK_BITS, g.n)
+    kernel = kernel_for(g, k)
     best, sizes = g.n, _exact_planes((1 << k) - 1, k)
     for p in range(g.n - k + 1):
         if p >= best:
             break
         for high in subsets_of_size(g.n - k, p):
-            block = kernel(high << k, k) & (-1 if high else -2)
+            block = kernel(high << k) & (-1 if high else -2)
             best = next((p + c for c, plane in enumerate(sizes[: best - p]) if block & plane), best)
     return best
 
@@ -685,14 +676,13 @@ def pq2(g: Graph) -> int:
     """Size of the smallest nonempty subset that is zero again at step 2.
 
     Such a subset is exactly a CCD one, the fact the count rests on too, so
-    this is the least-size block scan over _ccd_block, with one _ccd_context
-    for all blocks, and makes no walk. The full vertex set is always CCD.
+    this is the least-size block scan with the CCD kernel (_ccd_kernel), and
+    makes no walk. The full vertex set is always CCD.
     """
     _check_enumerable(g.n)
     if g.n == 0:
         raise ValueError("pq and pq2 are undefined on the empty graph (no nonempty subsets)")
-    context = _ccd_context(g, min(CCD_BLOCK_BITS, g.n))
-    return _least_size(g, lambda high, k: _ccd_block(g, high, k, context))
+    return _least_size(g, _ccd_kernel)
 
 
 def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
@@ -714,37 +704,44 @@ def pq(g: Graph, max_steps: int = DEFAULT_MAX_STEPS) -> int | _Unknown:
     return UNKNOWN if capped is not None and capped.bit_count() < size else size
 
 
-def _dominating_block(g: Graph, high: int, k: int) -> int:
-    """Domination on the 2^k subsets high | j, j < 2^k, one subset per bit:
-    bit j of the result is set exactly when high | j dominates g, by the
-    block lemma of domination_number. high has its low k bits clear and
-    0 <= k <= CCD_BLOCK_BITS."""
-    block, low, index = _block_ones(k, 1), (1 << k) - 1, _index_planes(k, 1)
+def _dominating_kernel(g: Graph, k: int) -> Callable[[int], int]:
+    """The domination kernel of a scan with k low bits, by the block lemma of
+    domination_number: bit j of block(high) is set exactly when high | j
+    dominates g, where high has its low k bits clear, 0 <= k <= CCD_BLOCK_BITS."""
+    full, index, low = _block_ones(k, 1), _index_planes(k, 1), (1 << k) - 1
+    hits = []
     for v, nbrs in enumerate(g.nbr_masks):
         closed = nbrs | 1 << v
-        if closed & high:
-            continue
         hit, m = 0, closed & low
         while m:
             hit |= index[(m & -m).bit_length() - 1]
             m &= m - 1
-        block &= hit
+        hits.append((closed, hit))
+
+    def block(high: int) -> int:
+        accepted = full
+        for closed, hit in hits:
+            if not closed & high:
+                accepted &= hit
+        return accepted
+
     return block
 
 
 def domination_number(g: Graph) -> int:
-    """Exact domination number: the least-size block scan over
-    _dominating_block, 2^k subsets per call. The full vertex set dominates,
-    and on n = 0 the answer is 0.
+    """Exact domination number: the least-size block scan with the
+    domination kernel (_dominating_kernel), 2^k subsets per call. The full
+    vertex set dominates, and on n = 0 the answer is 0.
 
     Block lemma. H = high | j dominates v when the closed neighbourhood N[v]
     meets H. If N[v] meets high, v is dominated in the whole block.
     Otherwise v is dominated where j has a bit in the low part of N[v],
-    which is the OR of those low vertices' index planes. A subset dominates
-    when every vertex is dominated, so the block is the AND over v.
+    which is the OR of those low vertices' index planes, v's hit plane; it
+    does not depend on the block, so the scan builds it once. A subset
+    dominates when every vertex is dominated, so the block is the AND over v.
     """
     _check_enumerable(g.n)
-    return _least_size(g, lambda high, k: _dominating_block(g, high, k))
+    return _least_size(g, _dominating_kernel)
 
 
 def find_zero_not_zero2(

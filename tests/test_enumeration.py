@@ -131,15 +131,16 @@ class TestCount:
         assert count_zero2_subsets(g) == by_firing == 2048
 
     def test_planes_built_once_per_count(self, monkeypatch):
-        # The count planes depend only on the graph and k, not on the block.
+        # The count planes depend only on the graph and k, not on the block,
+        # so the count builds one kernel, which holds them, for all blocks.
         calls = []
-        real = quiescence._count_planes
+        real = quiescence._ccd_kernel
 
-        def counted(*args):
-            calls.append(args[1])  # k
-            return real(*args)
+        def counted(g, k):
+            calls.append(k)
+            return real(g, k)
 
-        monkeypatch.setattr(quiescence, "_count_planes", counted)
+        monkeypatch.setattr(quiescence, "_ccd_kernel", counted)
         assert count_zero2_subsets(four_block_graph()) == 2048
         assert calls == [quiescence.CCD_BLOCK_BITS]
 

@@ -92,13 +92,18 @@ class TestEndpointRule:
         # one lower-half mask breaking the rule at the first two vertices, the
         # last two, or both must turn the verdict. On P17 the mask {0, 14}
         # lies in the second block, where vertices 15 and 16 are high.
-        real = quiescence._ccd_block
+        real = quiescence._ccd_kernel
 
-        def accepting(g, high, k, counts):
-            block = real(g, high, k, counts)
-            return block | 1 << (bad - high) if high <= bad < high + (1 << k) else block
+        def accepting(g, k):
+            kernel = real(g, k)
 
-        monkeypatch.setattr(quiescence, "_ccd_block", accepting)
+            def block(high):
+                verdict = kernel(high)
+                return verdict | 1 << (bad - high) if high <= bad < high + (1 << k) else verdict
+
+            return block
+
+        monkeypatch.setattr(quiescence, "_ccd_kernel", accepting)
         assert not check_endpoint_lemma(n)
 
 

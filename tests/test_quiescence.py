@@ -39,7 +39,7 @@ import chip_diffusion
 from chip_diffusion import enumeration, quiescence
 from chip_diffusion.engine import _WALK_CAP, _WALK_ZERO
 from chip_diffusion.graphs import _dominating_mask
-from chip_diffusion.quiescence import _ccd_block, _ccd_context, _ccd_mask, _dominating_block
+from chip_diffusion.quiescence import _ccd_kernel, _ccd_mask, _dominating_kernel
 from chip_diffusion.quiescence import _lane_width, _lower_half_lanes, _size_lanes, _zero2_mask
 
 import naive
@@ -120,15 +120,31 @@ def naive_ccd(g, masks):
     return [naive.ccd(adj, {v for v in range(g.n) if m >> v & 1}) for m in masks]
 
 
-def ccd_block(g, high, k):
-    return _ccd_block(g, high, k, _ccd_context(g, k))
-
-
-def assert_block_matches(g, high, k, want, kernel=ccd_block):
-    """Bit j of kernel(g, high, k) is want[j], the verdict on high | j."""
-    block = kernel(g, high, k)
+def assert_block_matches(g, high, k, want, kernel_for=_ccd_kernel):
+    """Bit j of kernel_for(g, k)(high) is want[j], the verdict on high | j."""
+    block = kernel_for(g, k)(high)
     assert block >> (1 << k) == 0, (g.edges, high, k)
     assert [bool(block >> j & 1) for j in range(1 << k)] == want, (g.edges, high, k)
+
+
+def counting_kernels(monkeypatch, factory):
+    """Wrap the kernel factory quiescence.<factory>; returns a list that gets
+    (k, highs) per kernel built, highs the blocks that kernel was called on."""
+    calls = []
+    real = getattr(quiescence, factory)
+
+    def counted(g, k):
+        kernel, highs = real(g, k), []
+        calls.append((k, highs))
+
+        def block(high):
+            highs.append(high)
+            return kernel(high)
+
+        return block
+
+    monkeypatch.setattr(quiescence, factory, counted)
+    return calls
 
 
 class TestCcdBlock:
@@ -148,6 +164,16 @@ class TestCcdBlock:
         k = data.draw(st.integers(min_value=0, max_value=g.n))
         high = data.draw(st.integers(min_value=0, max_value=(1 << (g.n - k)) - 1)) << k
         assert_block_matches(g, high, k, naive_ccd(g, range(high, high + (1 << k))))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_is_ccd_is_the_k0_kernel(self, n):
+        # _ccd_mask runs the plain-edge rule on every edge, not the kernel;
+        # by the block lemma at k = 0 the two agree, and with naive.ccd.
+        for edge_mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_edge_mask(n, edge_mask)
+            kernel = _ccd_kernel(g, 0)
+            for m, want in enumerate(naive_ccd(g, range(1 << n))):
+                assert _ccd_mask(g, m) == (kernel(m) == 1) == want, (g.edges, m)
 
 
 def hoist_test_graphs():
@@ -176,8 +202,8 @@ def assert_scans_match_naive(g):
 
 
 class TestCcdScanHoists:
-    """The CCD block scans read one _ccd_context per scan (hoist lemmas in
-    _ccd_block's docstring). At 2 and 3 block bits most graphs here span
+    """The CCD block scans build one _ccd_kernel per scan (hoist lemmas in
+    its docstring). At 2 and 3 block bits most graphs here span
     several blocks, so every hoisted plane is read by more than one block."""
 
     @pytest.mark.parametrize("block_bits", [2, 3])
@@ -218,13 +244,25 @@ class TestCcdScanHoists:
             got = {g: (count_zero2_subsets(g), pq2(g)) for g in order}
             assert [got[g] for g in graphs_] == alone
 
-    def test_interior_edges_are_hoisted(self):
-        # path:22 at 14 low bits: (0, 1) .. (11, 12) are interior; (12, 13)
-        # is not, since 13 has the high neighbour 14.
-        unequal, interior_bad, planed, plain, ends = _ccd_context(path(22), 14)
-        assert [(u, v) for u, v, *_ in planed] == [(12, 13), (13, 14), (14, 15)]
-        assert plain == tuple((v, v + 1) for v in range(15, 21))
-        assert interior_bad and len(unequal.planes) == 16 and ends == (12, 13, 14, 15)
+    def test_interior_edges_are_hoisted(self, monkeypatch):
+        # Counting path:22 scans 128 blocks of 14 low bits. (0, 1) .. (11, 12)
+        # are interior, so their planes are built once, at scan build;
+        # (12, 13) is not, since 13 has the high neighbour 14, and the
+        # planed edges (12, 13), (13, 14) and (14, 15) name 12..15, once in
+        # each block that its plain edges do not reject.
+        calls = []
+        real = quiescence._member_planes
+
+        def recorded(vertices, k, high, b):
+            calls.append((tuple(vertices), k, high))
+            return real(vertices, k, high, b)
+
+        monkeypatch.setattr(quiescence, "_member_planes", recorded)
+        assert count_zero2_subsets(path(22)) == 21894
+        assert calls[:12] == [((u, u + 1), 14, 0) for u in range(12)]
+        per_block = calls[12:]
+        assert per_block and {call[:2] for call in per_block} == {((12, 13, 14, 15), 14)}
+        assert len({high for *_, high in per_block}) == len(per_block)
 
 
 class TestDominatingBlock:
@@ -240,7 +278,7 @@ class TestDominatingBlock:
             for k in range(n + 1):
                 for high in range(0, 1 << n, 1 << k):
                     want = table[high:high + (1 << k)]
-                    assert_block_matches(g, high, k, want, _dominating_block)
+                    assert_block_matches(g, high, k, want, _dominating_kernel)
 
 
 class TestZero2:
@@ -519,16 +557,9 @@ class TestPq2BlockScan:
         assert time.perf_counter() - t0 < 1.0
 
     def test_one_block_call_when_the_first_block_decides(self, monkeypatch):
-        calls = []
-        real = quiescence._ccd_block
-
-        def counted(*args):
-            calls.append(args[1])  # high
-            return real(*args)
-
-        monkeypatch.setattr(quiescence, "_ccd_block", counted)
+        calls = counting_kernels(monkeypatch, "_ccd_kernel")
         assert pq2(complete(63)) == 1
-        assert calls == [0]
+        assert calls == [(quiescence.CCD_BLOCK_BITS, [0])]
 
     def test_makes_no_perturbation_walk(self, monkeypatch, rigid_six):
         def no_walk(*args):
@@ -551,7 +582,7 @@ def subset_domination_number(g):
 
 
 class TestDominationBlockScan:
-    """domination_number scans _dominating_block blocks; these check it
+    """domination_number scans _dominating_kernel blocks; these check it
     against the per-subset scan."""
 
     @pytest.mark.parametrize("n", range(7))
@@ -567,16 +598,9 @@ class TestDominationBlockScan:
 
     def test_one_block_call_on_complete63(self, monkeypatch):
         # The p = 0 block already holds a single vertex, so p = 1 stops the scan.
-        calls = []
-        real = quiescence._dominating_block
-
-        def counted(g, high, k):
-            calls.append(high)
-            return real(g, high, k)
-
-        monkeypatch.setattr(quiescence, "_dominating_block", counted)
+        calls = counting_kernels(monkeypatch, "_dominating_kernel")
         assert domination_number(complete(63)) == 1
-        assert calls == [0]
+        assert calls == [(quiescence.CCD_BLOCK_BITS, [0])]
 
 
 def naive_pq(g, cap):
