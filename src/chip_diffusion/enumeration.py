@@ -18,7 +18,14 @@ isomorphism classes of the order by vertex extension (_classes), decides each
 class once, and expands only the witness and INCONCLUSIVE classes into their
 labelled graphs, the n! relabellings of the class's canonical graph
 (_relabellings). Every other edge mask is NOT_FOUND. Each witness graph is
-searched again for its own first witness."""
+searched again for its own first witness.
+
+Vertex extension labels only the children whose new vertex has the largest
+degree among the vertices whose deletion may give a parent (the non-cut
+vertices for connected classes, every vertex otherwise). Lemma (_classes):
+every class is still reached, since degree is invariant under isomorphism
+and deleting an eligible vertex of largest degree gives a parent whose
+extension by its neighbourhood passes the test."""
 
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .engine import DEFAULT_MAX_STEPS, _check_max_steps
-from .graphs import Graph, is_connected
+from .graphs import Graph, _reach, is_connected
 # count_zero2_subsets is unused here; perfbench names it enumeration.count_zero2_subsets.
 from .quiescence import SearchStatus, SearchWitness, count_zero2_subsets, find_zero_not_zero2
 
@@ -172,24 +179,66 @@ def _classes(n: int, connected_only: bool) -> list[int]:
     if connected_only, as ascending canonical edge masks.
 
     Vertex extension (McKay, "Isomorph-free exhaustive generation", J.
-    Algorithms 1998, in its simplest form): join a new vertex n-1 to each
-    neighbourhood in each class of order n-1, and keep the distinct canonical
-    forms. Deleting vertex n-1 from any graph on n >= 1 vertices leaves a
-    graph isomorphic to some class of order n-1, so every class is reached.
+    Algorithms 1998): a child is a class of order n-1 plus a new vertex
+    x = n-1 joined to a neighbourhood, and the distinct canonical forms of
+    the children are the classes. Deleting a vertex from a graph on n >= 1
+    vertices leaves a graph isomorphic to some class of order n-1.
     Connected: every connected graph on n >= 2 vertices has a non-cut vertex,
-    namely a leaf of a spanning tree. Labelled last, it leaves a connected
-    graph of order n-1 and has a nonempty neighbourhood. So extending only
-    connected classes, only by nonempty neighbourhoods, reaches every
-    connected class, and every graph it makes is connected."""
+    namely a leaf of a spanning tree, and deleting it leaves a connected
+    graph; so only connected classes are extended, only by nonempty
+    neighbourhoods, and every child is connected.
+
+    Call a vertex eligible if deleting it may make a parent: a non-cut vertex
+    if connected_only, any vertex otherwise. A child is labelled only if no
+    eligible vertex has a degree above x's. Lemma: this still reaches every
+    class. Degree is invariant under isomorphism, so take any graph of the
+    class and an eligible vertex v of largest degree. Deleting v leaves a
+    graph isomorphic to a class P of order n-1, connected if connected_only,
+    and the child of P by the image of N(v) is isomorphic to the graph, with
+    x in the place of v: x has the largest eligible degree there, so the
+    child is labelled. Children of one class from several parents still
+    collapse in the set of forms.
+
+    A parent vertex of degree t has degree t + 1 in the child if it is in
+    the neighbourhood, t otherwise; so the vertices of degree above
+    d = |nbhd| are at_least[d + 1] | at_least[d] & nbhd, where at_least[t]
+    holds the parent's vertices of degree >= t. Only those are tested for
+    being cut vertices."""
     if n <= 1:
         return [0]
+    x = n - 1
     forms = set()
-    for key in _classes(n - 1, connected_only):
-        edges = graph_from_edge_mask(n - 1, key).edges
-        for nbhd in range(1 if connected_only else 0, 1 << (n - 1)):
-            joins = [(v, n - 1) for v in range(n - 1) if nbhd >> v & 1]
-            forms.add(canonical_edge_mask(Graph(n, edges + tuple(joins))))
+    for key in _classes(x, connected_only):
+        parent = graph_from_edge_mask(x, key)
+        at_least = [
+            sum(1 << v for v, m in enumerate(parent.nbr_masks) if m.bit_count() >= t)
+            for t in range(n + 1)
+        ]
+        for nbhd in range(1 if connected_only else 0, 1 << x):
+            d = nbhd.bit_count()
+            higher = at_least[d + 1] | at_least[d] & nbhd
+            if higher:
+                if not connected_only:
+                    continue
+                masks = [m | (nbhd >> v & 1) << x for v, m in enumerate(parent.nbr_masks)]
+                if _has_non_cut(masks + [nbhd], higher):
+                    continue
+            joins = [(v, x) for v in range(x) if nbhd >> v & 1]
+            forms.add(canonical_edge_mask(Graph(n, parent.edges + tuple(joins))))
     return sorted(forms)
+
+
+def _has_non_cut(masks: list[int], candidates: int) -> bool:
+    """Whether deleting some vertex of candidates leaves the connected graph
+    whose neighbourhoods are masks connected. Its last vertex is not a
+    candidate: every search starts there."""
+    full = (1 << len(masks)) - 1
+    while candidates:
+        bit = candidates & -candidates
+        candidates ^= bit
+        if _reach(masks, len(masks) - 1, full ^ bit) == full ^ bit:
+            return True
+    return False
 
 
 def _relabellings(n: int, keys: list[int]) -> Iterator[int]:

@@ -9,7 +9,7 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "EdgeListParseError",
@@ -282,10 +282,9 @@ def _read_graph_spec(spec: str) -> tuple[int, Callable[[], Graph]]:
     return sum(nums), build
 
 
-def _reach(g: Graph, start: int, within: int) -> int:
+def _reach(masks: Sequence[int], start: int, within: int) -> int:
     """Mask of start and of the vertices reachable from it through vertices
-    of within."""
-    masks = g.nbr_masks
+    of within, in the graph whose neighbourhoods are masks."""
     seen = frontier = 1 << start
     while frontier:
         v = (frontier & -frontier).bit_length() - 1
@@ -297,7 +296,7 @@ def _reach(g: Graph, start: int, within: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or _reach(g, 0, g.full_mask) == g.full_mask
+    return g.n <= 1 or _reach(g.nbr_masks, 0, g.full_mask) == g.full_mask
 
 
 def degree_into(g: Graph, v: int, s: VertexSet) -> int:
@@ -361,7 +360,7 @@ def components_within(g: Graph, s: VertexSet) -> list[VertexSet]:
     remaining = s.mask
     out = []
     while remaining:
-        comp = _reach(g, (remaining & -remaining).bit_length() - 1, remaining)
+        comp = _reach(g.nbr_masks, (remaining & -remaining).bit_length() - 1, remaining)
         out.append(VertexSet(g.n, comp))
         remaining &= ~comp
     return out

@@ -117,3 +117,20 @@ def canonical_form(n, edge_pairs):
         tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edge_pairs))
         for perm in itertools.permutations(range(n))
     )
+
+
+def vertex_extension_classes(n, connected_only, canon):
+    """The isomorphism classes on n vertices, connected ones only if
+    connected_only, by unfiltered vertex extension: a new vertex n-1 joined
+    to every neighbourhood (nonempty ones if connected_only) of one graph of
+    each class of order n-1. canon(n, edge_pairs) is a canonical form; the
+    result maps each class's form to the first graph found in it."""
+    if n <= 1:
+        return {canon(n, ()): ()}
+    out = {}
+    for edges in vertex_extension_classes(n - 1, connected_only, canon).values():
+        for size in range(1 if connected_only else 0, n):
+            for nbhd in itertools.combinations(range(n - 1), size):
+                grown = edges + tuple((v, n - 1) for v in nbhd)
+                out.setdefault(canon(n, grown), grown)
+    return out

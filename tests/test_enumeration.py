@@ -16,6 +16,7 @@ from chip_diffusion import (
     VertexSet,
     all_graphs,
     complete,
+    complete_bipartite,
     count_zero2_subsets,
     cycle,
     domination_number,
@@ -453,6 +454,9 @@ class TestCanonicalForm:
         classes = {canonical_edge_mask(g) for _, g in all_graphs(n)}
         connected = {canonical_edge_mask(g) for _, g in all_graphs(n, connected_only=True)}
         assert (len(classes), len(connected)) == (GRAPH_CLASSES[n], CONNECTED_CLASSES[n])
+        # The class source, degree test and all, gives the same forms.
+        assert enumeration._classes(n, False) == sorted(classes)
+        assert enumeration._classes(n, True) == sorted(connected)
 
     def test_tries_every_vertex_of_a_tied_cell(self):
         # C3 + C4 is 2-regular, so refinement leaves all seven vertices in one
@@ -484,6 +488,45 @@ class TestClassSource:
     def test_class_counts_match_oeis(self, n):
         got = (len(enumeration._classes(n, False)), len(enumeration._classes(n, True)))
         assert got == (GRAPH_CLASSES[n], CONNECTED_CLASSES[n])
+
+    def test_connected_class_count_at_order_8(self):
+        assert len(enumeration._classes(8, True)) == 11_117  # OEIS A001349
+
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_degree_test_loses_no_class_at_order_7(self, connected_only):
+        # Against the vertex extension without the degree test.
+        unfiltered = naive.vertex_extension_classes(
+            7, connected_only, lambda n, edges: canonical_edge_mask(Graph(n, edges))
+        )
+        assert enumeration._classes(7, connected_only) == sorted(unfiltered)
+
+    def test_keeps_the_classes_a_wrong_degree_test_would_lose(self):
+        # The star's centre is a cut vertex of degree 3, above any leaf's, so
+        # the star is labelled only because cut vertices are exempt. In a
+        # regular graph (C4, K4, two disjoint edges) every vertex ties with
+        # the new one.
+        connected = enumeration._classes(4, True)
+        for g in (complete_bipartite(1, 3), cycle(4), complete(4)):
+            assert canonical_edge_mask(g) in connected
+        matching = Graph(4, [(0, 1), (2, 3)])
+        assert canonical_edge_mask(matching) in enumeration._classes(4, False)
+
+    @pytest.mark.parametrize(
+        "n,connected_only,labellings",
+        [(6, True, 265), (7, True, 2_173), (6, False, 441), (7, False, 3_131)],
+    )
+    def test_degree_test_prunes_labellings(self, monkeypatch, n, connected_only, labellings):
+        # Without the test, 759, 7,815, 1,306 and 11,290 children are labelled.
+        calls = []
+        label = enumeration.canonical_edge_mask
+
+        def counting(g):
+            calls.append(g)
+            return label(g)
+
+        monkeypatch.setattr(enumeration, "canonical_edge_mask", counting)
+        enumeration._classes(n, connected_only)
+        assert len(calls) == labellings
 
     @pytest.mark.parametrize("n", range(7))
     def test_relabellings_cover_every_labelled_graph_once(self, n):
