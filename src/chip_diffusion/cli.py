@@ -155,6 +155,8 @@ def _cmd_pq(args) -> int:
 def _cmd_search(args) -> int:
     _check_at_least("--threads", args.threads, 1)
     _check_at_least("--max-steps", args.max_steps, 1)
+    if args.resume and args.checkpoint is None:
+        raise ValueError("--resume requires --checkpoint")
     final = None
 
     def report(p: enumeration.SearchProgress) -> None:
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--max-steps", type=int, default=quiescence.DEFAULT_MAX_STEPS)
-    p.add_argument("--checkpoint", help="path for resumable progress records")
+    p.add_argument("--checkpoint", help="record for --resume, saved at each witness and at the end")
     p.add_argument("--resume", action="store_true", help="continue from the checkpoint file")
     p.add_argument(
         "--threads", type=int, default=1,

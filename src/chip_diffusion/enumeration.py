@@ -48,15 +48,15 @@ __all__ = [
     "search_all_graphs",
 ]
 
-_CHUNK = 4096
 _CHECKPOINT_RE = re.compile(r"search (\d+) (\d+) ([01]) (\d+) (\d+)\n\1 (\d+)\n")
 
 
 @dataclass(frozen=True)
 class SearchProgress:
-    """How far a search_all_graphs run has got: edge masks scanned out of
-    total, and the witnesses and inconclusive graphs among them. The counts
-    are cumulative across a resume."""
+    """How far a search_all_graphs run has got: the position scanned, meaning
+    every edge mask below it is done, out of total, and the witnesses and
+    inconclusive graphs among those masks. All of it is a function of the
+    position, so a resumed run reports what an uninterrupted one does."""
 
     n: int
     scanned: int
@@ -260,10 +260,13 @@ def _relabellings(n: int, keys: list[int]) -> Iterator[int]:
         yield from set(map(sum, zip(zero, *edges)))
 
 
-def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tuple[int, int, int]:
-    """(next edge mask, witnesses, inconclusive) recorded in the checkpoint of
-    the search run = (n, max_steps, connected_only). A missing file is an
-    error: resuming from nothing would silently restart the scan."""
+def _read_checkpoint(
+    path: Path, run: tuple[int, int, bool], progress: Callable[[int], SearchProgress]
+) -> int:
+    """The next edge mask recorded in the checkpoint of the search run =
+    (n, max_steps, connected_only), whose counts must be progress at that
+    mask. A missing file is an error: resuming from nothing would silently
+    restart the scan."""
     try:
         text = path.read_text()
     except FileNotFoundError:
@@ -283,11 +286,15 @@ def _read_checkpoint(path: Path, run: tuple[int, int, bool], total: int) -> tupl
             f"connected_only={bool(rec_conn)}, not n={run[0]}, max_steps={run[1]}, "
             f"connected_only={run[2]}"
         )
-    if last >= total:
+    at = progress(last + 1)
+    if at.scanned > at.total:
         raise ValueError(f"checkpoint {path}: edge mask {last} is out of range")
-    if witnesses + inconclusive > last + 1:
-        raise ValueError(f"checkpoint {path}: counts exceed the {last + 1} edge masks covered")
-    return last + 1, witnesses, inconclusive
+    if (witnesses, inconclusive) != (at.witnesses, at.inconclusive):
+        raise ValueError(
+            f"checkpoint {path}: {witnesses} witnesses and {inconclusive} inconclusive below "
+            f"edge mask {last + 1}, where this search has {at.witnesses} and {at.inconclusive}"
+        )
+    return at.scanned
 
 
 def search_all_graphs(
@@ -302,22 +309,21 @@ def search_all_graphs(
 ) -> Iterator[SearchWitness]:
     """Run find_zero_not_zero2 over every labelled graph on n vertices,
     yielding witnesses in ascending edge-mask order. It decides each
-    isomorphism class once (module docstring), in the calling process. Then
-    it walks the edge masks in chunks: a chunk's counts come from the
-    relabellings of the witness and INCONCLUSIVE classes that fall in it, and
-    each witness mask is searched again for its own first witness. When no
-    class has either verdict, no edge mask is built.
+    isomorphism class once (module docstring), in the calling process, and
+    expands the witness and INCONCLUSIVE classes into their edge masks, which
+    give every count below a position (SearchProgress). Each witness mask is
+    searched again for its own first witness. When no class has either
+    verdict, no edge mask is built.
 
-    The checkpoint holds one record, atomically replaced after every chunk and
-    when the generator closes: "search n max_steps connected_only witnesses
-    inconclusive", then "n edge_mask", the last mask those counts cover (the
-    witness's mask if closed right after one). resume continues from it, so
-    the output and the final SearchProgress equal an uninterrupted run's; a
-    missing file, or one in another shape or from another n, max_steps or
-    connected_only, is refused. reporter gets a SearchProgress after every
-    chunk, or once with the recorded totals if a resumed checkpoint has
-    nothing left to scan; it counts edge masks scanned, cumulative across a
-    resume.
+    The run stops after each witness is consumed, at its mask + 1, and at the
+    end, at total. Each stop atomically replaces the checkpoint's one record,
+    "search n max_steps connected_only witnesses inconclusive", then
+    "n edge_mask", the last mask those counts cover, and gives reporter the
+    SearchProgress; closing the generator right after a witness saves only.
+    resume continues from the record, so the output and the final
+    SearchProgress equal an uninterrupted run's. A missing file is refused,
+    and so is one in another shape, from another n, max_steps or
+    connected_only, or with counts other than this search's below its mask.
 
     workers must be >= 1 and does not change the run: the census runs in one
     process, since at n <= 7 deciding every class takes a fraction of a
@@ -331,54 +337,44 @@ def search_all_graphs(
     _check_max_steps(max_steps)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    total = 1 << (n * (n - 1) // 2)
     ckpt_path = Path(checkpoint) if checkpoint is not None else None
-    start = witnesses = inconclusive = 0
-    if resume:
-        if ckpt_path is None:
-            raise ValueError("resume requires a checkpoint path")
-        start, witnesses, inconclusive = _read_checkpoint(
-            ckpt_path, (n, max_steps, connected_only), total
-        )
-    done = saved = start  # masks below done are counted, below saved are on file
+    if resume and ckpt_path is None:
+        raise ValueError("resume requires a checkpoint path")
+    total = 1 << (n * (n - 1) // 2)
+    keys = _classes(n, connected_only)
+    verdicts = [find_zero_not_zero2(graph_from_edge_mask(n, k), max_steps) for k in keys]
+    witness_keys = [k for k, v in zip(keys, verdicts) if isinstance(v, SearchWitness)]
+    undecided_keys = [k for k, v in zip(keys, verdicts) if v is SearchStatus.INCONCLUSIVE]
+    found = sorted(_relabellings(n, witness_keys))
+    undecided = sorted(_relabellings(n, undecided_keys))
 
-    def save() -> None:
+    def progress(p: int) -> SearchProgress:
+        return SearchProgress(n, p, total, bisect_left(found, p), bisect_left(undecided, p))
+
+    def save(p: SearchProgress) -> None:
+        if ckpt_path is None:
+            return
         tmp = ckpt_path.with_name(ckpt_path.name + ".tmp")
         with open(tmp, "w") as fh:
-            fh.write(f"search {n} {max_steps} {int(connected_only)} {witnesses} {inconclusive}\n")
-            fh.write(f"{n} {done - 1}\n")
+            fh.write(f"search {n} {max_steps} {int(connected_only)} {p.witnesses} "
+                     f"{p.inconclusive}\n{n} {p.scanned - 1}\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, ckpt_path)
 
-    chunks = range(start, total, _CHUNK)
-    keys = _classes(n, connected_only) if chunks else []
-    verdicts = [find_zero_not_zero2(graph_from_edge_mask(n, k), max_steps) for k in keys]
-
-    # The witness and INCONCLUSIVE masks from start on, ascending; the number
-    # of either below a mask is read by bisection.
-    witness_keys = [k for k, v in zip(keys, verdicts) if isinstance(v, SearchWitness)]
-    undecided_keys = [k for k, v in zip(keys, verdicts) if v is SearchStatus.INCONCLUSIVE]
-    found = sorted(m for m in _relabellings(n, witness_keys) if m >= start)
-    undecided = sorted(m for m in _relabellings(n, undecided_keys) if m >= start)
-    recorded = inconclusive
-    try:
-        for s in chunks:
-            e = min(s + _CHUNK, total)
-            for mask in found[bisect_left(found, s):bisect_left(found, e)]:
-                inconclusive = recorded + bisect_left(undecided, mask)
-                witnesses += 1
-                done = mask + 1
-                yield find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
-            inconclusive = recorded + bisect_left(undecided, e)
-            done = e
-            if ckpt_path is not None:
-                save()
-                saved = done
-            if reporter is not None:
-                reporter(SearchProgress(n, done, total, witnesses, inconclusive))
-        if not chunks and reporter is not None:
-            reporter(SearchProgress(n, done, total, witnesses, inconclusive))
-    finally:
-        if ckpt_path is not None and done != saved:
-            save()
+    start = _read_checkpoint(ckpt_path, (n, max_steps, connected_only), progress) if resume else 0
+    at = progress(start)
+    for mask in found[bisect_left(found, start):]:
+        witness = find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
+        at = progress(mask + 1)
+        try:
+            yield witness
+        finally:
+            save(at)
+        if reporter is not None:
+            reporter(at)
+    if at.scanned < total or start == total:  # not stopped at total by a witness at total - 1
+        at = progress(total)
+        save(at)
+        if reporter is not None:
+            reporter(at)

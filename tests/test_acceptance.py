@@ -330,13 +330,14 @@ def test_criterion_9_open_question_search(tmp_path):
             reverify_witness(w)
         all_witnesses[n] = found
 
-    # Checkpoint-resume on the largest order: interrupt, resume, compare.
+    # Checkpoint-resume on the largest order: interrupt at the first report,
+    # resume, compare; then resume from a record written halfway through the
+    # scan, in the shape an earlier version left every 4,096 masks.
     ckpt = tmp_path / "scan6.ckpt"
     partial = []
 
     def interrupter(progress):
-        if progress.scanned >= 3 * enumeration._CHUNK:
-            raise _StopScan
+        raise _StopScan
 
     with pytest.raises(_StopScan):
         for w in search_all_graphs(6, connected_only=True, checkpoint=ckpt, reporter=interrupter):
@@ -344,7 +345,12 @@ def test_criterion_9_open_question_search(tmp_path):
     resumed = list(
         search_all_graphs(6, connected_only=True, checkpoint=ckpt, resume=True)
     )
-    identical = partial + resumed == all_witnesses[6]
+    midway = tmp_path / "midway6.ckpt"
+    midway.write_text("search 6 10000 1 0 0\n6 16383\n")
+    from_midway = list(
+        search_all_graphs(6, connected_only=True, checkpoint=midway, resume=True)
+    )
+    identical = partial + resumed == all_witnesses[6] == from_midway
     last_line = ckpt.read_text().strip().splitlines()[-1]
     finding = (
         "no witness on any connected graph, n <= 6"
@@ -355,3 +361,4 @@ def test_criterion_9_open_question_search(tmp_path):
     report(9, "open-question search", ok, f"finding: {finding}; resume identical: {identical}")
     assert identical
     assert last_line == "6 32767"
+    assert midway.read_text() == ckpt.read_text()

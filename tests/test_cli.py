@@ -211,9 +211,10 @@ class TestSearch:
     @pytest.mark.parametrize(
         "text",
         ["search 4 50 0 0 0\n4 10\n", "search 3 2 0 0 0\n3 5\n", "search 3 50 1 0 0\n3 5\n",
-         "3 5\n", "search 3 50 0 0\n3 5\n", "search 3 10000 0 99 99\n3 3\n"],
+         "3 5\n", "search 3 50 0 0\n3 5\n", "search 3 10000 0 99 99\n3 3\n",
+         "search 3 10000 0 1 0\n3 5\n"],
         ids=["other-n", "other-max-steps", "connected-only", "old-log", "garbled",
-             "counts-beyond-masks"],
+             "counts-beyond-masks", "counts-differ"],
     )
     def test_resume_refuses_foreign_checkpoint(self, tmp_path, text):
         ckpt = tmp_path / "scan.ckpt"
@@ -223,6 +224,12 @@ class TestSearch:
         assert result.stdout == ""
         assert "checkpoint" in result.stderr
         assert ckpt.read_text() == text
+
+    def test_resume_without_checkpoint_exits_one(self):
+        result = run_cli("search", "--n", "3", "--resume")
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == "error: --resume requires --checkpoint\n"
 
     def test_resume_refuses_missing_checkpoint(self, tmp_path):
         ckpt = tmp_path / "missing.ckpt"

@@ -34,9 +34,9 @@ def count_line(graph, count, trivial="true"):
     return json_line(graph=f'"{graph}"', include_trivial=trivial, count=count)
 
 
-def search_stderr(witnesses, inconclusive):
+def search_stderr(witnesses, inconclusive, total=1024):
     return (
-        f"progress: 1024/1024 edge masks, {witnesses} witnesses, {inconclusive} inconclusive\n"
+        f"progress: {total}/{total} edge masks, {witnesses} witnesses, {inconclusive} inconclusive\n"
         f"search done: {witnesses} witnesses, {inconclusive} inconclusive\n"
     )
 
@@ -104,6 +104,7 @@ SWEEP = [
     (["search", "--n", "5", "--progress", "--max-steps", "1"], 1, "", search_stderr(0, 1023)),
     (["search", "--n", "5", "--progress", "--max-steps", "2"], 1, "", search_stderr(0, 972)),
     (["search", "--n", "5", "--progress"], 0, "", search_stderr(0, 0)),
+    (["search", "--n", "6", "--connected-only", "--progress"], 0, "", search_stderr(0, 0, 32768)),
 ]
 
 

@@ -329,9 +329,9 @@ class TestIsomorphismCache:
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("cap", ORACLE_CAPS)
     @pytest.mark.parametrize("connected_only", [False, True])
-    def test_cached_scan_matches_per_graph_loop(self, monkeypatch, n, cap, connected_only):
-        # One edge mask per chunk, so the reporter sees the counts after every mask.
-        monkeypatch.setattr(enumeration, "_CHUNK", 1)
+    def test_cached_scan_matches_per_graph_loop(self, tmp_path, n, cap, connected_only):
+        # Every report, and every position a resume accepts, carries the
+        # per-graph loop's counts of the masks below its position.
         total = 1 << (n * (n - 1) // 2)
         want, found, undecided = [], [0] * total, [0] * total
         for mask, g in all_graphs(n, connected_only):
@@ -341,16 +341,30 @@ class TestIsomorphismCache:
                 found[mask] = 1
             elif res is SearchStatus.INCONCLUSIVE:
                 undecided[mask] = 1
+        below = [(0, 0), *zip(itertools.accumulate(found), itertools.accumulate(undecided))]
         events = []
         got = list(search_all_graphs(n, cap, events.append, connected_only=connected_only))
         assert got == want
-        assert [p.witnesses for p in events] == list(itertools.accumulate(found))
-        assert [p.inconclusive for p in events] == list(itertools.accumulate(undecided))
+        assert events[-1].scanned == total
+        assert [(p.witnesses, p.inconclusive) for p in events] == [below[p.scanned] for p in events]
+        ckpt = tmp_path / "scan.ckpt"
+        for pos in sorted({1, total // 3, total // 2, total} - {0}):
+            w, i = below[pos]
+            ckpt.write_text(f"search {n} {cap} {int(connected_only)} {w} {i}\n{n} {pos - 1}\n")
+            resumed = []
+            assert list(
+                search_all_graphs(
+                    n, cap, resumed.append, connected_only=connected_only,
+                    checkpoint=ckpt, resume=True,
+                )
+            ) == want[w:]
+            assert resumed[-1] == events[-1]
 
-    def test_one_search_per_class_per_search(self, monkeypatch):
+    def test_one_search_per_class_per_search(self, tmp_path, monkeypatch):
         # Every class is decided in the calling process, whatever workers is,
         # so the stub sees each search, and no child process is alive at any
-        # report.
+        # report. A resumed run with nothing left decides every class again:
+        # its record's counts are checked against them.
         calls = []
 
         def counting_find(g, max_steps):
@@ -364,18 +378,21 @@ class TestIsomorphismCache:
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", counting_find)
         list(search_all_graphs(5, connected_only=True))
         assert len(calls) == len(set(calls)) == 21  # connected classes at n = 5 (OEIS A001349)
-        for chunk in (4096, 128):
-            monkeypatch.setattr(enumeration, "_CHUNK", chunk)
-            runs = []
-            for workers in (1, 2, 4):
-                calls.clear()
-                events = []
-                found = list(search_all_graphs(5, 2, report, workers=workers))
-                runs.append((found, events))
-                assert len(calls) == len(set(calls)) == 34, (chunk, workers)  # OEIS A000088
-            assert runs[0] == runs[1] == runs[2]
-            assert runs[0][1][-1] == SearchProgress(5, 1024, 1024, 0, 972)
-            assert len(runs[0][1]) == -(-1024 // chunk)  # one report per chunk
+        ckpt = tmp_path / "scan.ckpt"
+        runs = []
+        for workers in (1, 2, 4):
+            calls.clear()
+            events = []
+            found = list(search_all_graphs(5, 2, report, checkpoint=ckpt, workers=workers))
+            runs.append((found, events))
+            assert len(calls) == len(set(calls)) == 34, workers  # OEIS A000088
+        assert runs[0] == runs[1] == runs[2]
+        assert runs[0][1] == [SearchProgress(5, 1024, 1024, 0, 972)]  # no witness: one report
+        calls.clear()
+        events = []
+        assert list(search_all_graphs(5, 2, report, checkpoint=ckpt, resume=True)) == []
+        assert len(calls) == len(set(calls)) == 34
+        assert events == runs[0][1]
 
     @pytest.mark.parametrize(
         "argv,want",
@@ -572,35 +589,33 @@ class TestSearchAllGraphs:
             next(iter(search_all_graphs(3, workers=0)))
 
     def test_checkpoint_interrupt_and_resume(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(enumeration, "_CHUNK", 8)
+        # The fabricated witnesses at n = 4 are the masks with two edges:
+        # 3, 5, 6, 9, ... The reporter stops the run at its third report,
+        # the one after the witness at mask 6.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        full = list(search_all_graphs(4))
         ckpt = tmp_path / "scan.ckpt"
-        seen_ranges = []
+        seen = []
+        partial = []
 
         def stop_after_three(p: SearchProgress):
-            seen_ranges.append(p.scanned)
-            if len(seen_ranges) == 3:
+            seen.append(p.scanned)
+            if len(seen) == 3:
                 raise _Interrupt
 
         with pytest.raises(_Interrupt):
-            list(
-                search_all_graphs(
-                    4, reporter=stop_after_three, checkpoint=ckpt, connected_only=True
-                )
-            )
-        assert ckpt.read_text().strip().splitlines()[-1] == "4 23"
+            for w in search_all_graphs(4, reporter=stop_after_three, checkpoint=ckpt):
+                partial.append(w)
+        assert seen == [4, 6, 7]
+        assert ckpt.read_text().strip().splitlines()[-1] == "4 6"
 
         resumed_events = []
         resumed = list(
-            search_all_graphs(
-                4,
-                reporter=resumed_events.append,
-                checkpoint=ckpt,
-                resume=True,
-                connected_only=True,
-            )
+            search_all_graphs(4, reporter=resumed_events.append, checkpoint=ckpt, resume=True)
         )
-        assert resumed == list(search_all_graphs(4, connected_only=True))[3:]  # both empty
-        assert resumed_events[0].scanned == 32  # picked up at mask 24
+        assert partial == full[:3]
+        assert resumed == full[3:]
+        assert resumed_events[0].scanned == 10  # picked up at mask 7; next witness is 9
         assert resumed_events[-1].scanned == 64
         assert ckpt.read_text().strip().splitlines()[-1] == "4 63"
 
@@ -645,6 +660,7 @@ class TestSearchAllGraphs:
             "search 4 50 0 0 0\n5 3\n",
             "search 4 50 0 0 0\n4 64\n",  # beyond the last edge mask
             "search 4 50 0 99 99\n4 3\n",  # more graphs counted than masks covered
+            "search 4 50 0 1 0\n4 10\n",  # not the search's counts below mask 11
             "",
         ]:
             ckpt.write_text(text)
@@ -652,7 +668,9 @@ class TestSearchAllGraphs:
                 next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
 
     def test_checkpoint_holds_last_chunk_record(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(enumeration, "_CHUNK", 8)
+        # Each report finds the checkpoint holding the record of its position:
+        # 15 fabricated witnesses at n = 4, then the end.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         ckpt = tmp_path / "scan.ckpt"
         seen = []
 
@@ -663,41 +681,72 @@ class TestSearchAllGraphs:
             )
 
         list(search_all_graphs(4, max_steps=2, reporter=read_record, checkpoint=ckpt))
-        assert len(seen) == 8
-        assert ckpt.read_text() == seen[-1]
+        assert len(seen) == 16
+        assert ckpt.read_text() == seen[-1] == "search 4 2 0 15 6\n4 63\n"
         assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
 
+    @pytest.mark.parametrize(
+        "n,fake,writes", [(6, False, 1), (4, True, 16)], ids=["witness-free", "fabricated"]
+    )
+    def test_checkpoint_written_at_each_witness_and_the_end(
+        self, tmp_path, monkeypatch, n, fake, writes
+    ):
+        replaced = []
+
+        def counting_replace(src, dst):
+            replaced.append(dst)
+            real_replace(src, dst)
+
+        real_replace = enumeration.os.replace
+        if fake:
+            monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        monkeypatch.setattr(enumeration.os, "replace", counting_replace)
+        ckpt = tmp_path / "scan.ckpt"
+        list(search_all_graphs(n, connected_only=not fake, checkpoint=ckpt))
+        assert replaced == [ckpt] * writes
+
     def test_workers_match_sequential(self, monkeypatch):
-        # Four chunks; workers does not change the output.
-        monkeypatch.setattr(enumeration, "_CHUNK", 16)
-        seq = list(search_all_graphs(4, connected_only=True, workers=1))
-        par = list(search_all_graphs(4, connected_only=True, workers=2))
-        assert seq == par
+        # workers does not change the witnesses or the reports.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        runs = []
+        for workers in (1, 2):
+            events = []
+            runs.append((list(search_all_graphs(4, 2, events.append, workers=workers)), events))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == 15 and len(runs[0][1]) == 16
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resume_at_every_chunk_boundary(self, tmp_path, monkeypatch, capsys, workers):
-        # Eight chunks of 128 edge masks at n = 5. Each leg is interrupted from
-        # the reporter after k chunks, then resumed through the library and
-        # through the CLI; k = 8 resumes a finished checkpoint.
-        monkeypatch.setattr(enumeration, "_CHUNK", 128)
+        # The 45 fabricated witnesses at n = 5 and the end make 46 reports.
+        # Each leg is interrupted from the reporter at report k, then resumed
+        # through the library and through the CLI; k = 46 resumes a finished
+        # checkpoint.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         argv = ["search", "--n", "5", "--max-steps", "2", "--threads", str(workers)]
         events = []
         full = list(search_all_graphs(5, 2, events.append, workers=workers))
         want = events[-1]
-        assert want == SearchProgress(5, 1024, 1024, 0, 972)
+        assert want == SearchProgress(5, 1024, 1024, 45, 10)
+        assert len(events) == 46
         assert cli.main(argv) == 1
-        want_err = capsys.readouterr().err
-        assert want_err == "search done: 0 witnesses, 972 inconclusive\n"
+        want_out, want_err = capsys.readouterr()
+        want_out = want_out.splitlines(keepends=True)
+        assert len(want_out) == 45
+        assert want_err == "search done: 45 witnesses, 10 inconclusive\n"
 
-        for k in range(1, 9):
+        for k in range(1, 47):
             ckpt = tmp_path / f"stop{k}.ckpt"
+            reports = []
 
-            def stop_after_k(p: SearchProgress):
-                if p.scanned == 128 * k:
+            def stop_at_k(p: SearchProgress):
+                reports.append(p)
+                if len(reports) == k:
                     raise _Interrupt
 
+            partial = []
             with pytest.raises(_Interrupt):
-                list(search_all_graphs(5, 2, stop_after_k, checkpoint=ckpt, workers=workers))
+                for w in search_all_graphs(5, 2, stop_at_k, checkpoint=ckpt, workers=workers):
+                    partial.append(w)
             copy = tmp_path / f"stop{k}.cli.ckpt"
             copy.write_text(ckpt.read_text())
 
@@ -707,11 +756,11 @@ class TestSearchAllGraphs:
                     5, 2, events.append, checkpoint=ckpt, resume=True, workers=workers
                 )
             )
-            assert resumed == full
-            assert len(events) == max(8 - k, 1)  # a finished checkpoint reports once
+            assert partial + resumed == full
+            assert len(events) == max(46 - k, 1)  # a finished checkpoint reports once
             assert events[-1] == want
             assert cli.main([*argv, "--checkpoint", str(copy), "--resume"]) == 1
-            assert capsys.readouterr() == ("", want_err)
+            assert capsys.readouterr() == ("".join(want_out[min(k, 45):]), want_err)
 
     def test_witness_pipeline(self, monkeypatch):
         # No real witness is known (that existence is the open question), so
@@ -720,21 +769,38 @@ class TestSearchAllGraphs:
         got = list(search_all_graphs(3))
         assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 5), (4, 6)]
 
+    def test_witness_at_the_last_mask_reports_the_end_once(self, tmp_path, monkeypatch):
+        # A witness on K3, mask 7 = total - 1, already stops the run at total.
+        def complete_only(g, max_steps=0):
+            if g.m == 3:
+                return SearchWitness(g, VertexSet(3, 1), 4, "fabricated")
+            return SearchStatus.NOT_FOUND
+
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", complete_only)
+        events = []
+        got = list(search_all_graphs(3, reporter=events.append, checkpoint=tmp_path / "c"))
+        assert [w.graph.m for w in got] == [3]
+        assert events == [SearchProgress(3, 8, 8, 1, 0)]
+
     def test_witness_through_worker_pool(self, monkeypatch):
-        # workers = 2 gives the fabricated verdicts and the witnesses, found in
-        # chunks of two edge masks, of workers = 1.
+        # workers = 2 gives the fabricated verdicts, the witnesses and the
+        # reports, one per witness and one at the end, of workers = 1.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        monkeypatch.setattr(enumeration, "_CHUNK", 2)
         runs = []
         for workers in (1, 2):
             events = []
             found = list(search_all_graphs(3, reporter=events.append, workers=workers))
-            runs.append((found, events[-1]))
-        (seq, seq_end), (par, par_end) = runs
+            runs.append((found, events))
+        (seq, seq_events), (par, par_events) = runs
         assert [(w.subset.mask, w.zero_step) for w in seq] == [(1, 4), (2, 5), (4, 6)]
         assert par == seq
         assert [w.graph.nbr_masks for w in par] == [w.graph.nbr_masks for w in seq]
-        assert par_end == seq_end == SearchProgress(3, 8, 8, 3, 3)
+        assert par_events == seq_events == [
+            SearchProgress(3, 4, 8, 1, 2),
+            SearchProgress(3, 6, 8, 2, 3),
+            SearchProgress(3, 7, 8, 3, 3),
+            SearchProgress(3, 8, 8, 3, 3),
+        ]
 
     def test_witness_mid_chunk_close_and_resume(self, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
@@ -754,41 +820,55 @@ class TestSearchAllGraphs:
         assert partial + resumed == full
         assert events[-1] == want
 
-    @pytest.mark.parametrize("chunk", [1, 8, enumeration._CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 8, 4096])
     def test_close_after_each_witness_counts_only_masks_below(self, tmp_path, monkeypatch, chunk):
         # n = 4 has 64 edge masks: the 15 with two edges are witnesses and
-        # the 6 with one are inconclusive. In chunks of one, each witness is
-        # its chunk's first and last mask. In chunks of eight, the first
-        # holds the witness at mask 3 with the inconclusive masks 1 and 2
-        # below it and 4 above, and the inconclusive masks 4 and 8 lie on
-        # either side of a chunk edge. The default chunk holds all 64. A
-        # close right after a witness records the witnesses up to it and the
-        # inconclusive masks below it, and a resume then ends as a full run.
-        # Each chunk's report counts the masks below its end.
+        # the 6 with one are inconclusive. Each report counts the masks below
+        # its position, one past its witness. A close right after a witness
+        # records the witnesses up to it and the inconclusive masks below it,
+        # and a resume then ends as a full run. So does a resume from each
+        # record that a writer checkpointing every `chunk` masks left at a
+        # chunk's end, wherever the witnesses fall: in chunks of eight, the
+        # first holds the witness at mask 3 with the inconclusive masks 1
+        # and 2 below it and 4 above, and the inconclusive masks 4 and 8 lie
+        # on either side of a chunk edge.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        monkeypatch.setattr(enumeration, "_CHUNK", chunk)
         events = []
         full = list(search_all_graphs(4, reporter=events.append))
         want = events[-1]
         masks = [m for m in range(64) if bin(m).count("1") == 2]
         assert [w.graph for w in full] == [graph_from_edge_mask(4, m) for m in masks]
         assert want == SearchProgress(4, 64, 64, 15, 6)
-        assert [(p.witnesses, p.inconclusive) for p in events] == [
-            (sum(m < p.scanned for m in masks), sum(1 << i < p.scanned for i in range(6)))
-            for p in events
-        ]
+
+        def below(p):
+            return sum(m < p for m in masks), sum(1 << i < p for i in range(6))
+
+        assert [p.scanned for p in events] == [m + 1 for m in masks] + [64]
+        assert [(p.witnesses, p.inconclusive) for p in events] == [below(p.scanned) for p in events]
         for k, witness in enumerate(masks, 1):
             ckpt = tmp_path / f"after{k}.ckpt"
             stream = search_all_graphs(4, checkpoint=ckpt)
             partial = [next(stream) for _ in range(k)]
             stream.close()
-            below = sum(bin(m).count("1") == 1 for m in range(witness))
-            assert ckpt.read_text() == f"search 4 {DEFAULT_MAX_STEPS} 0 {k} {below}\n4 {witness}\n"
+            assert ckpt.read_text() == (
+                f"search 4 {DEFAULT_MAX_STEPS} 0 {k} {below(witness)[1]}\n4 {witness}\n"
+            )
             events = []
             resumed = list(
                 search_all_graphs(4, reporter=events.append, checkpoint=ckpt, resume=True)
             )
             assert partial + resumed == full
+            assert events[-1] == want
+        for end in range(chunk, 64 + chunk, chunk):
+            end = min(end, 64)
+            ckpt = tmp_path / f"chunk{end}.ckpt"
+            w, i = below(end)
+            ckpt.write_text(f"search 4 {DEFAULT_MAX_STEPS} 0 {w} {i}\n4 {end - 1}\n")
+            events = []
+            resumed = list(
+                search_all_graphs(4, reporter=events.append, checkpoint=ckpt, resume=True)
+            )
+            assert resumed == full[w:]
             assert events[-1] == want
 
 
