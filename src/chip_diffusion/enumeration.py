@@ -53,10 +53,10 @@ _CHECKPOINT_RE = re.compile(r"search (\d+) (\d+) ([01]) (\d+) (\d+)\n\1 (\d+)\n"
 
 @dataclass(frozen=True)
 class SearchProgress:
-    """How far a search_all_graphs run has got: the position scanned, meaning
-    every edge mask below it is done, out of total, and the witnesses and
-    inconclusive graphs among those masks. All of it is a function of the
-    position, so a resumed run reports what an uninterrupted one does."""
+    """How far a search_all_graphs run has got: every edge mask below scanned
+    is done, out of total, and witnesses and inconclusive count the graphs
+    among those masks afresh at each position, so a resumed run reports what
+    an uninterrupted one does."""
 
     n: int
     scanned: int
@@ -308,27 +308,31 @@ def search_all_graphs(
     workers: int = 1,
 ) -> Iterator[SearchWitness]:
     """Run find_zero_not_zero2 over every labelled graph on n vertices,
-    yielding witnesses in ascending edge-mask order. It decides each
-    isomorphism class once (module docstring), in the calling process, and
-    expands the witness and INCONCLUSIVE classes into their edge masks, which
-    give every count below a position (SearchProgress). Each witness mask is
-    searched again for its own first witness. When no class has either
-    verdict, no edge mask is built.
+    yielding witnesses in ascending edge-mask order. Each isomorphism class
+    is decided once (module docstring); the witness classes' edge masks are
+    kept, sorted, and each is searched again for its own first witness. The
+    INCONCLUSIVE masks below a position are counted, never stored.
+
+    Cost lemma. A witness at cap c is a witness at every larger cap, and an
+    INCONCLUSIVE class at cap c is INCONCLUSIVE at every smaller cap. At the
+    default cap, n <= 7 has neither, so at any cap the witness count W or
+    the INCONCLUSIVE mask count U is 0, and the counting passes (one per
+    witness, at the end and at a resume's start) cost O(U), not O(W * U).
 
     The run stops after each witness is consumed, at its mask + 1, and at the
     end, at total. Each stop atomically replaces the checkpoint's one record,
     "search n max_steps connected_only witnesses inconclusive", then
     "n edge_mask", the last mask those counts cover, and gives reporter the
-    SearchProgress; closing the generator right after a witness saves only.
-    resume continues from the record, so the output and the final
-    SearchProgress equal an uninterrupted run's. A missing file is refused,
-    and so is one in another shape, from another n, max_steps or
-    connected_only, or with counts other than this search's below its mask.
+    SearchProgress; closing the generator right after a witness saves only,
+    and a failed save removes its ".tmp". A checkpoint naming a directory, or
+    in a missing one, is refused before any work. resume continues from the
+    record, so the output and the final SearchProgress equal an uninterrupted
+    run's; it refuses a missing file, one in another shape, from another n,
+    max_steps or connected_only, or with counts other than this search's.
 
-    workers must be >= 1 and does not change the run: the census runs in one
-    process, since at n <= 7 deciding every class takes a fraction of a
-    second, less than generating the classes. A process pool belongs to a
-    class-by-class search of larger orders, where n = 9 takes minutes.
+    workers must be >= 1 and does not change the run: at n <= 7 deciding
+    every class takes less time than generating them, so the census runs in
+    one process. A pool belongs to a class-by-class census of orders past 7.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -340,30 +344,37 @@ def search_all_graphs(
     ckpt_path = Path(checkpoint) if checkpoint is not None else None
     if resume and ckpt_path is None:
         raise ValueError("resume requires a checkpoint path")
+    if ckpt_path is not None and ckpt_path.is_dir():
+        raise ValueError(f"checkpoint {checkpoint} is a directory")
+    if ckpt_path is not None and not ckpt_path.parent.is_dir():
+        raise ValueError(f"checkpoint {checkpoint}: {ckpt_path.parent} is not a directory")
     total = 1 << (n * (n - 1) // 2)
     keys = _classes(n, connected_only)
     verdicts = [find_zero_not_zero2(graph_from_edge_mask(n, k), max_steps) for k in keys]
     witness_keys = [k for k, v in zip(keys, verdicts) if isinstance(v, SearchWitness)]
     undecided_keys = [k for k, v in zip(keys, verdicts) if v is SearchStatus.INCONCLUSIVE]
     found = sorted(_relabellings(n, witness_keys))
-    undecided = sorted(_relabellings(n, undecided_keys))
 
     def progress(p: int) -> SearchProgress:
-        return SearchProgress(n, p, total, bisect_left(found, p), bisect_left(undecided, p))
+        undecided = sum(m < p for m in _relabellings(n, undecided_keys))
+        return SearchProgress(n, p, total, bisect_left(found, p), undecided)
 
     def save(p: SearchProgress) -> None:
         if ckpt_path is None:
             return
         tmp = ckpt_path.with_name(ckpt_path.name + ".tmp")
-        with open(tmp, "w") as fh:
-            fh.write(f"search {n} {max_steps} {int(connected_only)} {p.witnesses} "
-                     f"{p.inconclusive}\n{n} {p.scanned - 1}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, ckpt_path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write(f"search {n} {max_steps} {int(connected_only)} {p.witnesses} "
+                         f"{p.inconclusive}\n{n} {p.scanned - 1}\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, ckpt_path)
+        finally:
+            tmp.unlink(missing_ok=True)  # gone after a replace, left by a failure
 
     start = _read_checkpoint(ckpt_path, (n, max_steps, connected_only), progress) if resume else 0
-    at = progress(start)
+    at = None
     for mask in found[bisect_left(found, start):]:
         witness = find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
         at = progress(mask + 1)
@@ -373,7 +384,7 @@ def search_all_graphs(
             save(at)
         if reporter is not None:
             reporter(at)
-    if at.scanned < total or start == total:  # not stopped at total by a witness at total - 1
+    if at is None or at.scanned < total:  # not stopped at total by a witness at total - 1
         at = progress(total)
         save(at)
         if reporter is not None:

@@ -16,7 +16,7 @@ lemma at k = 0, the plain-edge rule (_plain_ccd) on every edge.
 Every subset scan is here, one per order, each bounded by ENUMERATION_LIMIT
 or EXHAUSTIVE_COUNT_LIMIT. The block scans test up to 2^CCD_BLOCK_BITS
 subsets per kernel call, and their kernels are built from one plane layer:
-the index planes (_index_planes) and a block's all-ones plane (_block_ones),
+the index planes (_index_planes) and a block's all-ones plane (_lane_ones),
 each built once per (k, lane stride) and cached, and the membership planes
 of a block (_member_planes), the one place that says which vertices a
 block's masks hold. A block scan builds its one kernel with a factory
@@ -225,18 +225,12 @@ def _index_planes(k: int, stride: int) -> tuple[int, ...]:
         return ()
     half = (1 << k - 1) * stride
     lower = _index_planes(k - 1, stride)
-    return (*(x | x << half for x in lower), _block_ones(k - 1, stride) << half)
+    return (*(x | x << half for x in lower), _lane_ones(1 << k - 1, stride) << half)
 
 
 @cache
-def _block_ones(k: int, stride: int) -> int:
-    """The all-ones plane of a block: a 1 in each of its 2^k lanes of stride
-    bits. Cached per (k, stride), as _index_planes."""
-    return _lane_ones(1 << k, stride)
-
-
 def _lane_ones(lanes: int, stride: int) -> int:
-    """The int with a 1 in each of lanes lanes of stride bits."""
+    """The int with a 1 in each of lanes lanes of stride bits, cached."""
     return ((1 << lanes * stride) - 1) // ((1 << stride) - 1)
 
 
@@ -245,7 +239,7 @@ def _member_planes(vertices: Iterable[int], k: int, high: int, b: int) -> list[i
     high | j, j < 2^k, in lanes of b bits: lane j of vertex w's plane is 1
     when w is in high | j. A low vertex's plane is its index plane; a high
     vertex's is all ones or zero, as high holds it or not."""
-    index, ones = _index_planes(k, b), _block_ones(k, b)
+    index, ones = _index_planes(k, b), _lane_ones(1 << k, b)
     return [index[w] if w < k else ones if high >> w & 1 else 0 for w in vertices]
 
 
@@ -253,7 +247,7 @@ def _exact_planes(m: int, k: int) -> list[int]:
     """Exact-count planes of a mask m of low vertices (m < 2^k): bit j of
     plane c is set when exactly c vertices of m are in j. Adding a vertex with
     index plane X moves each subset from count c to c + 1 where X is set."""
-    full, index = _block_ones(k, 1), _index_planes(k, 1)
+    full, index = _lane_ones(1 << k, 1), _index_planes(k, 1)
     exact = [full]
     while m:
         x = index[(m & -m).bit_length() - 1]
@@ -296,7 +290,7 @@ def _ccd_kernel(g: Graph, k: int) -> Callable[[int], int]:
     (d) a vertex's membership plane and K_u depend on the block, not on the
         edge, so each block computes them once per vertex.
     """
-    full, low = _block_ones(k, 1), (1 << k) - 1
+    full, low = _lane_ones(1 << k, 1), (1 << k) - 1
     masks = g.nbr_masks
     unequal = _UnequalPlanes(g, k)
     interior_bad, planed, plain = 0, [], []
@@ -348,7 +342,7 @@ class _UnequalPlanes(dict):
     def __init__(self, g: Graph, k: int):
         super().__init__()
         low = (1 << k) - 1
-        self.full = _block_ones(k, 1)
+        self.full = _lane_ones(1 << k, 1)
         self.planes = {m: _exact_planes(m, k) for m in {nbrs & low for nbrs in g.nbr_masks}}
 
     def __missing__(self, key: tuple[int, int, int]) -> int:
@@ -708,20 +702,14 @@ def _dominating_kernel(g: Graph, k: int) -> Callable[[int], int]:
     """The domination kernel of a scan with k low bits, by the block lemma of
     domination_number: bit j of block(high) is set exactly when high | j
     dominates g, where high has its low k bits clear, 0 <= k <= CCD_BLOCK_BITS."""
-    full, index, low = _block_ones(k, 1), _index_planes(k, 1), (1 << k) - 1
-    hits = []
-    for v, nbrs in enumerate(g.nbr_masks):
-        closed = nbrs | 1 << v
-        hit, m = 0, closed & low
-        while m:
-            hit |= index[(m & -m).bit_length() - 1]
-            m &= m - 1
-        hits.append((closed, hit))
+    full, low = _lane_ones(1 << k, 1), (1 << k) - 1
+    closed = [nbrs | 1 << v for v, nbrs in enumerate(g.nbr_masks)]
+    hits = [(c, full ^ _exact_planes(c & low, k)[0]) for c in closed]
 
     def block(high: int) -> int:
         accepted = full
-        for closed, hit in hits:
-            if not closed & high:
+        for c, hit in hits:
+            if not c & high:
                 accepted &= hit
         return accepted
 
@@ -735,8 +723,8 @@ def domination_number(g: Graph) -> int:
 
     Block lemma. H = high | j dominates v when the closed neighbourhood N[v]
     meets H. If N[v] meets high, v is dominated in the whole block.
-    Otherwise v is dominated where j has a bit in the low part of N[v],
-    which is the OR of those low vertices' index planes, v's hit plane; it
+    Otherwise v is dominated where j meets the low part of N[v], that is
+    off its exact-count plane 0 (_exact_planes), v's hit plane; it
     does not depend on the block, so the scan builds it once. A subset
     dominates when every vertex is dominated, so the block is the AND over v.
     """

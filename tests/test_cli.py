@@ -231,6 +231,23 @@ class TestSearch:
         assert result.stdout == ""
         assert result.stderr == "error: --resume requires --checkpoint\n"
 
+    @pytest.mark.parametrize(
+        "path,message",
+        [
+            ("nodir/scan.ckpt", "checkpoint nodir/scan.ckpt: nodir is not a directory"),
+            ("ckdir", "checkpoint ckdir is a directory"),
+        ],
+        ids=["missing-directory", "names-a-directory"],
+    )
+    def test_checkpoint_misuse_exits_one_before_any_work(self, tmp_path, path, message):
+        # Refused under the path as typed, before the n = 7 census starts.
+        (tmp_path / "ckdir").mkdir()
+        result = run_cli("search", "--n", "7", "--checkpoint", path, cwd=tmp_path)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == f"error: {message}\n"
+        assert [p.name for p in tmp_path.rglob("*")] == ["ckdir"]
+
     def test_resume_refuses_missing_checkpoint(self, tmp_path):
         ckpt = tmp_path / "missing.ckpt"
         result = run_cli("search", "--n", "3", "--checkpoint", str(ckpt), "--resume")

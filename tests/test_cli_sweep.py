@@ -105,6 +105,18 @@ SWEEP = [
     (["search", "--n", "5", "--progress", "--max-steps", "2"], 1, "", search_stderr(0, 972)),
     (["search", "--n", "5", "--progress"], 0, "", search_stderr(0, 0)),
     (["search", "--n", "6", "--connected-only", "--progress"], 0, "", search_stderr(0, 0, 32768)),
+    (
+        ["search", "--n", "6", "--progress", "--max-steps", "1"], 1, "",
+        search_stderr(0, 32767, 32768),
+    ),
+    (
+        ["search", "--n", "6", "--connected-only", "--progress", "--max-steps", "1"], 1, "",
+        search_stderr(0, 26704, 32768),
+    ),
+    (
+        ["search", "--n", "6", "--progress", "--max-steps", "2"], 1, "",
+        search_stderr(0, 32565, 32768),
+    ),
 ]
 
 
@@ -117,3 +129,16 @@ def test_cli_output_is_pinned(tmp_path, monkeypatch, capsys, argv, code, stdout,
     assert cli.main(argv) == code
     out = capsys.readouterr()
     assert (pin(out.out), pin(out.err)) == (stdout, stderr)
+
+
+def test_low_cap_census_resumes_mid_scan(tmp_path, capsys):
+    # At cap 1 every graph on 6 vertices but the edgeless one (mask 0) is
+    # INCONCLUSIVE, so the record halfway through counts 16383 below 16384.
+    argv = ["search", "--n", "6", "--max-steps", "1", "--checkpoint"]
+    full, resumed = tmp_path / "full.ckpt", tmp_path / "resumed.ckpt"
+    assert cli.main([*argv, str(full)]) == 1
+    want = capsys.readouterr()
+    resumed.write_text("search 6 1 0 0 16383\n6 16383\n")
+    assert cli.main([*argv, str(resumed), "--resume"]) == 1
+    assert capsys.readouterr() == want
+    assert resumed.read_text() == full.read_text() == "search 6 1 0 0 32767\n6 32767\n"

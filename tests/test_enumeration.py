@@ -667,6 +667,36 @@ class TestSearchAllGraphs:
             with pytest.raises(ValueError, match="checkpoint"):
                 next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
 
+    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+    @pytest.mark.parametrize(
+        "name,why",
+        [("missing/scan.ckpt", ": {dir} is not a directory"), ("ckdir", " is a directory")],
+        ids=["missing-directory", "names-a-directory"],
+    )
+    def test_checkpoint_misuse_refused_before_any_work(
+        self, tmp_path, monkeypatch, name, why, resume
+    ):
+        def no_classes(n, connected_only):
+            raise AssertionError("classes generated before the checkpoint was checked")
+
+        monkeypatch.setattr(enumeration, "_classes", no_classes)
+        (tmp_path / "ckdir").mkdir()
+        ckpt = tmp_path / name
+        message = f"checkpoint {ckpt}" + why.format(dir=ckpt.parent)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            next(iter(search_all_graphs(7, checkpoint=str(ckpt), resume=resume)))
+        assert [p.name for p in tmp_path.rglob("*")] == ["ckdir"]
+
+    @pytest.mark.parametrize("call", ["fsync", "replace"])
+    def test_failed_save_removes_its_tmp(self, tmp_path, monkeypatch, call):
+        def fail(*args):
+            raise OSError(f"{call} failed")
+
+        monkeypatch.setattr(enumeration.os, call, fail)
+        with pytest.raises(OSError, match=f"{call} failed"):
+            list(search_all_graphs(3, checkpoint=tmp_path / "scan.ckpt"))
+        assert list(tmp_path.iterdir()) == []
+
     def test_checkpoint_holds_last_chunk_record(self, tmp_path, monkeypatch):
         # Each report finds the checkpoint holding the record of its position:
         # 15 fabricated witnesses at n = 4, then the end.

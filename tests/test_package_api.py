@@ -3,14 +3,16 @@ names in __all__, and __init__.py star-imports the modules and joins their
 lists. These tests check that the lists do not overlap, that the package
 exports exactly their concatenation, and that every public name a module
 defines is either in its list or one of the few module-only names below.
+They also check that each private name a docstring cites still exists.
 """
 
 import ast
+import re
 from pathlib import Path
 from types import ModuleType
 
 import chip_diffusion
-from chip_diffusion import engine, enumeration, graphs, paths, quiescence
+from chip_diffusion import cli, engine, enumeration, graphs, paths, quiescence
 
 MODULES = (engine, enumeration, graphs, paths, quiescence)
 
@@ -77,3 +79,29 @@ def test_package_binds_only_its_exports():
 def test_every_exported_name_resolves():
     missing = [name for name in chip_diffusion.__all__ if not hasattr(chip_diffusion, name)]
     assert missing == []
+
+
+# A private name: a leading underscore, then a letter, not inside a longer
+# word (max_steps) or a dunder (__missing__).
+PRIVATE_NAME = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+
+
+def _docstrings(module) -> list[str]:
+    """The docstrings of the module and of every class and function in it."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    nodes = ast.walk(ast.parse(Path(module.__file__).read_text()))
+    return [doc for node in nodes if isinstance(node, kinds) and (doc := ast.get_docstring(node))]
+
+
+def test_private_names_in_docstrings_resolve():
+    # A helper deleted or renamed while a docstring still cites it fails
+    # here. A name resolves on the module or on one of its classes, as
+    # _flows does on engine.Orientation.
+    cited = 0
+    for module in (*MODULES, cli):
+        scopes = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+        names = {name for doc in _docstrings(module) for name in PRIVATE_NAME.findall(doc)}
+        cited += len(names)
+        missing = sorted(name for name in names if not any(hasattr(s, name) for s in scopes))
+        assert missing == [], module.__name__
+    assert cited > 20  # the reader still finds the names the docstrings cite

@@ -779,6 +779,9 @@ class TestPlaneTables:
         for k in range(9):
             want = tuple(quiescence._mask_planes(k, range(1 << k), stride))
             assert quiescence._index_planes(k, stride) == want, k
+            # A block's all-ones plane: one vertex held by each of its masks.
+            ones = quiescence._mask_planes(1, [1] * (1 << k), stride)
+            assert [quiescence._lane_ones(1 << k, stride)] == ones, k
 
     @pytest.mark.parametrize("stride", range(1, 7))
     def test_member_planes_pack_the_block_masks(self, stride):
