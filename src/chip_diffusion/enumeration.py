@@ -20,15 +20,17 @@ labelled graphs, the n! relabellings of the class's canonical graph
 (_relabellings). Every other edge mask is NOT_FOUND. Each witness graph is
 searched again for its own first witness.
 
-Vertex extension labels only the children whose new vertex has the largest
-degree among the vertices whose deletion may give a parent (the non-cut
-vertices for connected classes, every vertex otherwise). Lemma (_classes):
-every class is still reached, since degree is invariant under isomorphism
-and deleting an eligible vertex of largest degree gives a parent whose
-extension by its neighbourhood passes the test."""
+Vertex extension has one rule in both modes: every class one order down is
+a parent, and only the children whose new vertex has the largest degree are
+labelled; a connected child's new vertex must also be joined to every
+component of its parent. Lemma (_classes): every class is still reached,
+since degree is invariant under isomorphism, and deleting a vertex of
+largest degree from a connected graph leaves a parent each of whose
+components that vertex's neighbourhood meets."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import re
@@ -38,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from .engine import DEFAULT_MAX_STEPS, _check_max_steps
-from .graphs import Graph, _reach, is_connected
+from .graphs import Graph, VertexSet, components_within, is_connected
 # count_zero2_subsets is unused here; perfbench names it enumeration.count_zero2_subsets.
 from .quiescence import SearchStatus, SearchWitness, count_zero2_subsets, find_zero_not_zero2
 
@@ -69,6 +71,16 @@ def all_edge_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """The C(n,2) vertex pairs in lexicographic order; bit i of an edge mask
     selects pair i."""
     return tuple((u, v) for u in range(n) for v in range(u + 1, n))
+
+
+@functools.cache
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[u][v] == bits[v][u]: the edge-mask bit of the pair {u, v} in
+    all_edge_pairs(n); 0 on the diagonal."""
+    bits = [[0] * n for _ in range(n)]
+    for i, (u, v) in enumerate(all_edge_pairs(n)):
+        bits[u][v] = bits[v][u] = 1 << i
+    return tuple(map(tuple, bits))
 
 
 def graph_from_edge_mask(
@@ -116,6 +128,7 @@ def canonical_edge_mask(g: Graph) -> int:
     Without it, edgeless and complete graphs would have n! leaves.
     """
     n, nbrs = g.n, g.nbr_masks
+    bits = _pair_bits(n)
     best = None
     stack = [_refine(nbrs, [g.full_mask] if n else [])]
     while stack:
@@ -129,10 +142,7 @@ def canonical_edge_mask(g: Graph) -> int:
                 pos[cell.bit_length() - 1] = i
             m = 0
             for u, v in g.edges:
-                a, b = pos[u], pos[v]
-                if a > b:
-                    a, b = b, a
-                m |= 1 << (a * (2 * n - a - 3) // 2 + b - 1)  # index of (a, b) in all_edge_pairs
+                m |= bits[pos[u]][pos[v]]
             if best is None or m < best:
                 best = m
             continue
@@ -179,66 +189,43 @@ def _classes(n: int, connected_only: bool) -> list[int]:
     if connected_only, as ascending canonical edge masks.
 
     Vertex extension (McKay, "Isomorph-free exhaustive generation", J.
-    Algorithms 1998): a child is a class of order n-1 plus a new vertex
-    x = n-1 joined to a neighbourhood, and the distinct canonical forms of
-    the children are the classes. Deleting a vertex from a graph on n >= 1
-    vertices leaves a graph isomorphic to some class of order n-1.
-    Connected: every connected graph on n >= 2 vertices has a non-cut vertex,
-    namely a leaf of a spanning tree, and deleting it leaves a connected
-    graph; so only connected classes are extended, only by nonempty
-    neighbourhoods, and every child is connected.
-
-    Call a vertex eligible if deleting it may make a parent: a non-cut vertex
-    if connected_only, any vertex otherwise. A child is labelled only if no
-    eligible vertex has a degree above x's. Lemma: this still reaches every
-    class. Degree is invariant under isomorphism, so take any graph of the
-    class and an eligible vertex v of largest degree. Deleting v leaves a
-    graph isomorphic to a class P of order n-1, connected if connected_only,
-    and the child of P by the image of N(v) is isomorphic to the graph, with
-    x in the place of v: x has the largest eligible degree there, so the
-    child is labelled. Children of one class from several parents still
-    collapse in the set of forms.
+    Algorithms 1998): a child is a class of order n-1, connected or not,
+    plus a new vertex x = n-1 joined to a neighbourhood, and the distinct
+    canonical forms of the children are the classes. A child is labelled
+    only if no vertex has a degree above x's; if connected_only, x's
+    neighbourhood must also meet every component of the parent, which makes
+    the child connected. Lemma: this still reaches every class. Degree is
+    invariant under isomorphism, so take any graph of the class and a vertex
+    v of largest degree. Deleting v leaves a graph isomorphic to a class P
+    of order n-1, and if the graph is connected, N(v) meets every component
+    of P. The child of P by the image of N(v) is isomorphic to the graph,
+    with x in the place of v: x has the largest degree there, so the child
+    is labelled. Children of one class from several parents still collapse
+    in the set of forms.
 
     A parent vertex of degree t has degree t + 1 in the child if it is in
     the neighbourhood, t otherwise; so the vertices of degree above
     d = |nbhd| are at_least[d + 1] | at_least[d] & nbhd, where at_least[t]
-    holds the parent's vertices of degree >= t. Only those are tested for
-    being cut vertices."""
+    holds the parent's vertices of degree >= t."""
     if n <= 1:
         return [0]
     x = n - 1
     forms = set()
-    for key in _classes(x, connected_only):
+    for key in _classes(x, False):
         parent = graph_from_edge_mask(x, key)
         at_least = [
             sum(1 << v for v, m in enumerate(parent.nbr_masks) if m.bit_count() >= t)
             for t in range(n + 1)
         ]
-        for nbhd in range(1 if connected_only else 0, 1 << x):
+        whole = VertexSet(x, parent.full_mask)
+        parts = [c.mask for c in components_within(parent, whole)] if connected_only else []
+        for nbhd in range(1 << x):
             d = nbhd.bit_count()
-            higher = at_least[d + 1] | at_least[d] & nbhd
-            if higher:
-                if not connected_only:
-                    continue
-                masks = [m | (nbhd >> v & 1) << x for v, m in enumerate(parent.nbr_masks)]
-                if _has_non_cut(masks + [nbhd], higher):
-                    continue
+            if at_least[d + 1] | at_least[d] & nbhd or not all(nbhd & c for c in parts):
+                continue
             joins = [(v, x) for v in range(x) if nbhd >> v & 1]
             forms.add(canonical_edge_mask(Graph(n, parent.edges + tuple(joins))))
     return sorted(forms)
-
-
-def _has_non_cut(masks: list[int], candidates: int) -> bool:
-    """Whether deleting some vertex of candidates leaves the connected graph
-    whose neighbourhoods are masks connected. Its last vertex is not a
-    candidate: every search starts there."""
-    full = (1 << len(masks)) - 1
-    while candidates:
-        bit = candidates & -candidates
-        candidates ^= bit
-        if _reach(masks, len(masks) - 1, full ^ bit) == full ^ bit:
-            return True
-    return False
 
 
 def _relabellings(n: int, keys: list[int]) -> Iterator[int]:
@@ -248,12 +235,10 @@ def _relabellings(n: int, keys: list[int]) -> Iterator[int]:
     if not keys:  # the usual case: build no permutation table
         return
     pairs = all_edge_pairs(n)
-    bit = [[0] * n for _ in range(n)]
-    for i, (u, v) in enumerate(pairs):
-        bit[u][v] = bit[v][u] = 1 << i
+    bits = _pair_bits(n)
     perms = list(itertools.permutations(range(n)))
     # images[i][j]: the bit of pair i under permutation j
-    images = [[bit[p[u]][p[v]] for p in perms] for u, v in pairs]
+    images = [[bits[p[u]][p[v]] for p in perms] for u, v in pairs]
     zero = [0] * len(perms)
     for key in keys:
         edges = [images[i] for i in range(len(pairs)) if key >> i & 1]

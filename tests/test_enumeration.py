@@ -14,6 +14,7 @@ from chip_diffusion import (
     SearchStatus,
     SearchWitness,
     VertexSet,
+    ZeroStatus,
     all_graphs,
     complete,
     complete_bipartite,
@@ -211,6 +212,25 @@ class TestFindZeroNotZero2:
 
     def test_inconclusive_under_tiny_cap(self):
         assert find_zero_not_zero2(path(4), max_steps=1) is SearchStatus.INCONCLUSIVE
+
+    def test_components_do_not_decide_a_not_found(self):
+        # P3 + K2 is INCONCLUSIVE at cap 3, though P3 and K2 are each
+        # NOT_FOUND there. On the capped subset {0, 3}, the P3 part confirms
+        # its cycle and the K2 part reaches zero within the cap, but the
+        # whole walk confirms its cycle only after every part has, past the
+        # cap. So a graph whose components are all NOT_FOUND need not be.
+        g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+        assert find_zero_not_zero2(g, max_steps=3) is SearchStatus.INCONCLUSIVE
+        assert find_zero_not_zero2(path(3), max_steps=3) is SearchStatus.NOT_FOUND
+        assert find_zero_not_zero2(path(2), max_steps=3) is SearchStatus.NOT_FOUND
+        statuses = [
+            is_zero_invoking(g, VertexSet(5, 0b01001), 3).status,
+            is_zero_invoking(path(3), VertexSet(3, 0b001), 3).status,
+            is_zero_invoking(path(2), VertexSet(2, 0b01), 3).status,
+        ]
+        assert statuses == [
+            ZeroStatus.CAP_EXCEEDED, ZeroStatus.PERIOD_WITHOUT_ZERO, ZeroStatus.REACHED_ZERO
+        ]
 
     def test_zero_cap_refused(self):
         with pytest.raises(ValueError) as err:
@@ -497,6 +517,20 @@ class TestCanonicalForm:
         assert bin(form).count("1") == g.m
 
 
+def _generate_counting(monkeypatch, n, connected_only):
+    """The number of classes _classes(n, connected_only) returns, and the
+    number of canonical_edge_mask calls it makes."""
+    calls = []
+    label = enumeration.canonical_edge_mask
+
+    def counting(g):
+        calls.append(g)
+        return label(g)
+
+    monkeypatch.setattr(enumeration, "canonical_edge_mask", counting)
+    return len(enumeration._classes(n, connected_only)), len(calls)
+
+
 class TestClassSource:
     """The census generates isomorphism classes by vertex extension and
     expands them by relabelling (enumeration._classes, _relabellings)."""
@@ -506,8 +540,13 @@ class TestClassSource:
         got = (len(enumeration._classes(n, False)), len(enumeration._classes(n, True)))
         assert got == (GRAPH_CLASSES[n], CONNECTED_CLASSES[n])
 
-    def test_connected_class_count_at_order_8(self):
-        assert len(enumeration._classes(8, True)) == 11_117  # OEIS A001349
+    def test_connected_class_count_at_order_8(self, monkeypatch):
+        # The labellings are every order's: the all-graph classes up to 7,
+        # then the connected children at 8.
+        assert _generate_counting(monkeypatch, 8, True) == (11_117, 28_911)  # OEIS A001349
+
+    def test_graph_class_count_at_order_8(self, monkeypatch):
+        assert _generate_counting(monkeypatch, 8, False) == (12_346, 32_886)  # OEIS A000088
 
     @pytest.mark.parametrize("connected_only", [False, True])
     def test_degree_test_loses_no_class_at_order_7(self, connected_only):
@@ -518,32 +557,26 @@ class TestClassSource:
         assert enumeration._classes(7, connected_only) == sorted(unfiltered)
 
     def test_keeps_the_classes_a_wrong_degree_test_would_lose(self):
-        # The star's centre is a cut vertex of degree 3, above any leaf's, so
-        # the star is labelled only because cut vertices are exempt. In a
-        # regular graph (C4, K4, two disjoint edges) every vertex ties with
-        # the new one.
-        connected = enumeration._classes(4, True)
-        for g in (complete_bipartite(1, 3), cycle(4), complete(4)):
-            assert canonical_edge_mask(g) in connected
+        # Cut vertices are not exempt: the star K_{1,3} is reached from the
+        # edgeless graph on 3 vertices, its centre the new vertex of degree
+        # 3, not from a path by a leaf. The bowtie's only vertex of largest
+        # degree is a cut vertex, and deleting it leaves two components, so
+        # it is reached only from a disconnected parent. In a regular graph
+        # (C4, K4, two disjoint edges) every vertex ties with the new one.
+        bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+        for g in (complete_bipartite(1, 3), cycle(4), complete(4), bowtie):
+            assert canonical_edge_mask(g) in enumeration._classes(g.n, True)
         matching = Graph(4, [(0, 1), (2, 3)])
         assert canonical_edge_mask(matching) in enumeration._classes(4, False)
 
     @pytest.mark.parametrize(
         "n,connected_only,labellings",
-        [(6, True, 265), (7, True, 2_173), (6, False, 441), (7, False, 3_131)],
+        [(6, True, 319), (7, True, 2_529), (6, False, 441), (7, False, 3_131)],
     )
     def test_degree_test_prunes_labellings(self, monkeypatch, n, connected_only, labellings):
-        # Without the test, 759, 7,815, 1,306 and 11,290 children are labelled.
-        calls = []
-        label = enumeration.canonical_edge_mask
-
-        def counting(g):
-            calls.append(g)
-            return label(g)
-
-        monkeypatch.setattr(enumeration, "canonical_edge_mask", counting)
-        enumeration._classes(n, connected_only)
-        assert len(calls) == labellings
+        # Without the degree test, 1,028, 9,616, 1,306 and 11,290 children
+        # are labelled.
+        assert _generate_counting(monkeypatch, n, connected_only)[1] == labellings
 
     @pytest.mark.parametrize("n", range(7))
     def test_relabellings_cover_every_labelled_graph_once(self, n):

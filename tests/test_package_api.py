@@ -3,7 +3,8 @@ names in __all__, and __init__.py star-imports the modules and joins their
 lists. These tests check that the lists do not overlap, that the package
 exports exactly their concatenation, and that every public name a module
 defines is either in its list or one of the few module-only names below.
-They also check that each private name a docstring cites still exists.
+They also check that each private name a docstring or README.md cites
+still exists.
 """
 
 import ast
@@ -105,3 +106,19 @@ def test_private_names_in_docstrings_resolve():
         missing = sorted(name for name in names if not any(hasattr(s, name) for s in scopes))
         assert missing == [], module.__name__
     assert cited > 20  # the reader still finds the names the docstrings cite
+
+
+def _resolves(name: str) -> bool:
+    """Whether some package module, or one of its classes, binds name."""
+    modules = (*MODULES, cli)
+    classes = [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+    return any(hasattr(s, name) for s in (*modules, *classes))
+
+
+def test_private_names_in_readme_resolve():
+    # Inline code spans only: fenced blocks are shell sessions and examples.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    names = {name for span in spans for name in PRIVATE_NAME.findall(span)}
+    assert sorted(name for name in names if not _resolves(name)) == []
+    assert len(names) >= 13
