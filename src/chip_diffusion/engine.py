@@ -246,10 +246,19 @@ def run(g: Graph, c0: Sequence[int], max_steps: int = DEFAULT_MAX_STEPS) -> Peri
     Raises CapExceededError if max_steps firings pass without a repeat.
     """
     _check_max_steps(max_steps)
-    k, kind, before, last = _walk(g.edges, _as_config(g.n, c0), max_steps, False)
-    if kind == _WALK_CAP:
-        raise CapExceededError(max_steps, (before, last))
-    # Period 1: C_k = C_{k-1}. Period 2: C_k = C_{k-2}, so the cycle is (C_k, C_{k-1}).
+    walk = _walk(g.edges, _as_config(g.n, c0), max_steps, False)
+    if walk[1] == _WALK_CAP:
+        raise CapExceededError(max_steps, walk[2:])
+    return _period_report(walk, walk[0])
+
+
+def _period_report(walk: tuple, steps_taken: int) -> PeriodReport:
+    """The PeriodReport of a walk (t, kind, C_{t-1}, C_t) that confirmed its
+    cycle at step t, kind being the period (as _walk returns it), after
+    steps_taken firings."""
+    t, kind, before, last = walk
+    # Period 1: C_t = C_{t-1}. Period 2: C_t = C_{t-2}, so the cycle is (C_t, C_{t-1}).
     return PeriodReport(
-        preperiod=k - kind, period=kind, period_configs=(last, before)[:kind], steps_taken=k
+        preperiod=t - kind, period=kind, period_configs=(last, before)[:kind],
+        steps_taken=steps_taken,
     )

@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,9 +48,6 @@ __all__ = [
     "graph_from_edge_mask",
     "search_all_graphs",
 ]
-
-_CHECKPOINT_RE = re.compile(r"search (\d+) (\d+) ([01]) (\d+) (\d+)\n\1 (\d+)\n")
-
 
 @dataclass(frozen=True)
 class SearchProgress:
@@ -245,40 +241,41 @@ def _relabellings(n: int, keys: list[int]) -> Iterator[int]:
         yield from set(map(sum, zip(zero, *edges)))
 
 
+def _record(run: tuple[int, int, bool], p: SearchProgress) -> str:
+    """The checkpoint record of the search run = (n, max_steps,
+    connected_only) at p: "search n max_steps connected_only witnesses
+    inconclusive", then "n edge_mask", the last mask those counts cover."""
+    n, max_steps, connected_only = run
+    return (f"search {n} {max_steps} {int(connected_only)} {p.witnesses} {p.inconclusive}\n"
+            f"{n} {p.scanned - 1}\n")
+
+
 def _read_checkpoint(
     path: Path, run: tuple[int, int, bool], progress: Callable[[int], SearchProgress]
 ) -> int:
-    """The next edge mask recorded in the checkpoint of the search run =
-    (n, max_steps, connected_only), whose counts must be progress at that
-    mask. A missing file is an error: resuming from nothing would silently
-    restart the scan."""
+    """The next edge mask of the search run's checkpoint, which must hold
+    exactly the bytes of _record(run, progress(m + 1)), m the last number on
+    its last line. A missing file is an error: resuming from nothing would
+    silently restart the scan."""
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except FileNotFoundError:
         raise ValueError(
             f"checkpoint {path} does not exist; drop --resume to start a new search"
         ) from None
-    record = _CHECKPOINT_RE.fullmatch(text)
-    if record is None:
+    try:
+        last = int(data.split()[-1])
+    except (IndexError, ValueError):
         raise ValueError(
             f"checkpoint {path}: expected 'search n max_steps connected_only witnesses "
-            f"inconclusive' then 'n edge_mask', got {text[:200]!r}"
-        )
-    rec_n, rec_steps, rec_conn, witnesses, inconclusive, last = map(int, record.groups())
-    if (rec_n, rec_steps, rec_conn) != run:
-        raise ValueError(
-            f"checkpoint {path} is from a search with n={rec_n}, max_steps={rec_steps}, "
-            f"connected_only={bool(rec_conn)}, not n={run[0]}, max_steps={run[1]}, "
-            f"connected_only={run[2]}"
-        )
+            f"inconclusive' then 'n edge_mask', got {data[:200]!r}"
+        ) from None
     at = progress(last + 1)
-    if at.scanned > at.total:
+    if data != (want := _record(run, at).encode()):
+        raise ValueError(f"checkpoint {path} holds {data[:200]!r}, where this search "
+                         f"would write {want!r}")
+    if not 0 < at.scanned <= at.total:
         raise ValueError(f"checkpoint {path}: edge mask {last} is out of range")
-    if (witnesses, inconclusive) != (at.witnesses, at.inconclusive):
-        raise ValueError(
-            f"checkpoint {path}: {witnesses} witnesses and {inconclusive} inconclusive below "
-            f"edge mask {last + 1}, where this search has {at.witnesses} and {at.inconclusive}"
-        )
     return at.scanned
 
 
@@ -298,11 +295,22 @@ def search_all_graphs(
     kept, sorted, and each is searched again for its own first witness. The
     INCONCLUSIVE masks below a position are counted, never stored.
 
-    Cost lemma. A witness at cap c is a witness at every larger cap, and an
-    INCONCLUSIVE class at cap c is INCONCLUSIVE at every smaller cap. At the
-    default cap, n <= 7 has neither, so at any cap the witness count W or
-    the INCONCLUSIVE mask count U is 0, and the counting passes (one per
-    witness, at the end and at a resume's start) cost O(U), not O(W * U).
+    Cost lemma. W = 0 at every cap for n <= 7, W the witness count, so the
+    counting passes (one per witness, at the end and at a resume's start)
+    cost O(U), U the INCONCLUSIVE mask count, not O(W * U). Proof: at the
+    default cap the census of all graphs of order 7 finds no witness and no
+    INCONCLUSIVE class (tests/test_cli.py). A witness at a smaller cap is one
+    at the default cap; a witness at a larger cap would have been
+    INCONCLUSIVE at the default cap, its walk capped there. Adding isolated
+    vertices to a graph of order m < 7 leaves every walk unchanged, so a
+    witness at order m would be one at order 7, and the connected census is
+    part of the all-graphs one: this one pin covers every order and mode.
+
+    n > 7 is refused. At the default cap, n = 8 would take about 1 s to
+    generate the classes and 1 s to decide them; the limit guards the
+    labelled view at low caps, where every class can be INCONCLUSIVE: at
+    n = 8 and cap 1 each counting pass would relabel all 251,548,592
+    connected labelled graphs.
 
     The run stops after each witness is consumed, at its mask + 1, and at the
     end, at total. Each stop atomically replaces the checkpoint's one record,
@@ -312,8 +320,8 @@ def search_all_graphs(
     and a failed save removes its ".tmp". A checkpoint naming a directory, or
     in a missing one, is refused before any work. resume continues from the
     record, so the output and the final SearchProgress equal an uninterrupted
-    run's; it refuses a missing file, one in another shape, from another n,
-    max_steps or connected_only, or with counts other than this search's.
+    run's; it refuses a missing file and any file other than the record
+    (_record) this search writes at the position on the file's last line.
 
     workers must be >= 1 and does not change the run: at n <= 7 deciding
     every class takes less time than generating them, so the census runs in
@@ -322,7 +330,11 @@ def search_all_graphs(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if n > 7:
-        raise ValueError(f"graph census is 2^C(n,2), refusing n={n} > 7")
+        raise ValueError(
+            f"refusing n={n} > 7: at a low cap every class can be INCONCLUSIVE, and each "
+            f"counting pass would relabel every labelled graph of the order (at n = 8, "
+            f"251,548,592 connected ones)"
+        )
     _check_max_steps(max_steps)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -334,6 +346,7 @@ def search_all_graphs(
     if ckpt_path is not None and not ckpt_path.parent.is_dir():
         raise ValueError(f"checkpoint {checkpoint}: {ckpt_path.parent} is not a directory")
     total = 1 << (n * (n - 1) // 2)
+    run = (n, max_steps, connected_only)
     keys = _classes(n, connected_only)
     verdicts = [find_zero_not_zero2(graph_from_edge_mask(n, k), max_steps) for k in keys]
     witness_keys = [k for k, v in zip(keys, verdicts) if isinstance(v, SearchWitness)]
@@ -350,15 +363,14 @@ def search_all_graphs(
         tmp = ckpt_path.with_name(ckpt_path.name + ".tmp")
         try:
             with open(tmp, "w") as fh:
-                fh.write(f"search {n} {max_steps} {int(connected_only)} {p.witnesses} "
-                         f"{p.inconclusive}\n{n} {p.scanned - 1}\n")
+                fh.write(_record(run, p))
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, ckpt_path)
         finally:
             tmp.unlink(missing_ok=True)  # gone after a replace, left by a failure
 
-    start = _read_checkpoint(ckpt_path, (n, max_steps, connected_only), progress) if resume else 0
+    start = _read_checkpoint(ckpt_path, run, progress) if resume else 0
     at = None
     for mask in found[bisect_left(found, start):]:
         witness = find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)

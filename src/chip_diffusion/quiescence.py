@@ -74,7 +74,7 @@ from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .engine import DEFAULT_MAX_STEPS, PeriodReport
-from .engine import _WALK_CAP, _WALK_ZERO, _check_max_steps, _walk
+from .engine import _WALK_CAP, _WALK_ZERO, _check_max_steps, _period_report, _walk
 from .graphs import Graph, VertexSet, _check_set
 
 __all__ = [
@@ -418,7 +418,8 @@ def is_zero_invoking(
     or max_steps step indices are exhausted."""
     _check_set(g, h)
     _check_max_steps(max_steps)
-    t, kind, before, last = _perturbation_walk(g, h.mask, max_steps)
+    walk = _perturbation_walk(g, h.mask, max_steps)
+    t, kind = walk[:2]
     if kind == _WALK_CAP:
         return ZeroInvokingOutcome(ZeroStatus.CAP_EXCEEDED, step=None, report=None, trace_len=t)
     if kind == _WALK_ZERO:
@@ -426,11 +427,8 @@ def is_zero_invoking(
         return ZeroInvokingOutcome(
             ZeroStatus.REACHED_ZERO, step=t, report=None, trace_len=max(t, 1)
         )
-    report = PeriodReport(
-        preperiod=t - kind, period=kind, period_configs=(last, before)[:kind], steps_taken=t - 1
-    )
     return ZeroInvokingOutcome(
-        ZeroStatus.PERIOD_WITHOUT_ZERO, step=None, report=report, trace_len=t
+        ZeroStatus.PERIOD_WITHOUT_ZERO, step=None, report=_period_report(walk, t - 1), trace_len=t
     )
 
 

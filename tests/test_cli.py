@@ -187,6 +187,18 @@ class TestSearch:
         assert result.stderr == "search done: 0 witnesses, 0 inconclusive\n"
         assert ckpt.read_text().endswith("\n7 2097151\n")
 
+    def test_order_seven_has_no_witness(self, tmp_path):
+        # The same census over all graphs on 7 vertices. With no witness and
+        # nothing undecided at the default cap, there is no witness at any
+        # cap, order or mode the census accepts (search_all_graphs' cost
+        # lemma).
+        ckpt = tmp_path / "scan7.ckpt"
+        result = run_cli("search", "--n", "7", "--checkpoint", str(ckpt))
+        assert result.returncode == 0
+        assert result.stdout == ""
+        assert result.stderr == "search done: 0 witnesses, 0 inconclusive\n"
+        assert ckpt.read_text() == "search 7 10000 0 0 0\n7 2097151\n"
+
     def test_progress_lines(self):
         result = run_cli("search", "--n", "3", "--progress")
         assert "progress:" in result.stderr

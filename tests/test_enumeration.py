@@ -609,7 +609,7 @@ class TestSearchAllGraphs:
         assert all(a.scanned < b.scanned for a, b in zip(events, events[1:]))
 
     def test_refuses_oversize(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^refusing n=8 > 7: at a low cap every class"):
             next(iter(search_all_graphs(8)))
 
     def test_refuses_negative_order(self):
@@ -665,14 +665,14 @@ class TestSearchAllGraphs:
     def test_resume_rejects_other_order(self, tmp_path):
         ckpt = tmp_path / "scan.ckpt"
         ckpt.write_text("search 5 50 0 0 0\n5 100\n")
-        with pytest.raises(ValueError, match="n=5"):
+        with pytest.raises(ValueError, match="search 5 50 0 0 0"):
             next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
 
     @pytest.mark.parametrize(
         "record,match",
         [
-            ("search 4 2 0 0 0\n4 10\n", "max_steps=2"),
-            ("search 4 50 1 0 0\n4 10\n", "connected_only=True"),
+            ("search 4 2 0 0 0\n4 10\n", "search 4 2 0 0 0"),
+            ("search 4 50 1 0 0\n4 10\n", "search 4 50 1 0 0"),
         ],
         ids=["max-steps", "connected-only"],
     )
@@ -699,6 +699,50 @@ class TestSearchAllGraphs:
             ckpt.write_text(text)
             with pytest.raises(ValueError, match="checkpoint"):
                 next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
+
+    def test_resume_accepts_only_the_bytes_save_writes(self, tmp_path, monkeypatch):
+        # Each of the 16 records of the fabricated n = 4 run, its final one
+        # included, resumes at exactly its position. One-character variants
+        # of a record are refused, and the file is left as it was.
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        ckpt = tmp_path / "scan.ckpt"
+        records = []  # (record, SearchProgress) at each report
+
+        def read_record(p: SearchProgress):
+            records.append((ckpt.read_bytes(), p))
+
+        full = list(search_all_graphs(4, reporter=read_record, checkpoint=ckpt))
+        assert len(records) == 16
+        assert records[-1][0] == f"search 4 {DEFAULT_MAX_STEPS} 0 15 6\n4 63\n".encode()
+        starts = []
+        real = enumeration._read_checkpoint
+
+        def recording(*args):
+            starts.append(real(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(enumeration, "_read_checkpoint", recording)
+        for record, p in records:
+            ckpt.write_bytes(record)
+            resumed = list(search_all_graphs(4, checkpoint=ckpt, resume=True))
+            assert starts[-1] == p.scanned
+            assert resumed == full[p.witnesses:]
+            assert ckpt.read_bytes() == records[-1][0]
+        record = records[2][0].decode()
+        assert record == f"search 4 {DEFAULT_MAX_STEPS} 0 3 3\n4 6\n"
+        for variant in [
+            record.replace("search 4", "search 04"),
+            record.replace("\n4 ", "\n04 "),
+            record.replace(" 6\n", " 06\n"),
+            record.replace("\n", " \n", 1),
+            record + " ",
+            record + "\n",
+            record.replace("\n", "\r\n"),
+        ]:
+            ckpt.write_bytes(variant.encode())
+            with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}"):
+                next(iter(search_all_graphs(4, checkpoint=ckpt, resume=True)))
+            assert ckpt.read_bytes() == variant.encode()
 
     @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
     @pytest.mark.parametrize(

@@ -971,6 +971,25 @@ class TestLaneWidening:
         # Each source builds its own wider planes for a block that tripped.
         assert wider == {"lower half", "size"}
 
+    def test_no_connected_class_of_order_7_trips_the_default_width(self, monkeypatch):
+        # Evidence for a proven lane width (ROADMAP item 18): the witness
+        # scan of every connected class of order 7 walks each block at
+        # _lane_width(g) and never widens.
+        widths = set()
+        real = quiescence._lane_walk
+
+        def recording(g, planes, masks, max_steps, b):
+            widths.add(b - _lane_width(g))
+            return real(g, planes, masks, max_steps, b)
+
+        monkeypatch.setattr(quiescence, "_lane_walk", recording)
+        keys = enumeration._classes(7, True)
+        assert len(keys) == 853
+        for key in keys:
+            g = enumeration.graph_from_edge_mask(7, key)
+            assert quiescence.find_zero_not_zero2(g) is quiescence.SearchStatus.NOT_FOUND
+        assert widths == {0}
+
     def test_a_scan_keeps_the_width_of_its_first_trip(self, monkeypatch):
         # At 2 block bits, P9's lower half comes in 64 blocks of 4 masks and
         # each size below pq2 = 3 in chunks of 4. At the narrow width the
