@@ -58,23 +58,15 @@ class Arrow(enum.IntEnum):
 
 @dataclass(frozen=True)
 class Orientation:
-    """Per-edge arrow assignment; edge order matches Graph.edges. The flow
-    rule: edge (a, b), a < b, carries a chip a -> b under TO_HIGHER, b -> a
-    under TO_LOWER and none when FLAT; only _flows reads arrows this way.
-    edges is kept as a tuple of (a, b) pairs, so an orientation is hashable,
-    and an edge not written with a < b is refused."""
+    """One arrow per edge of graph, in graph.edges order. The flow rule: edge
+    (a, b), a < b, carries a chip a -> b under TO_HIGHER, b -> a under
+    TO_LOWER and none when FLAT; only _flows reads arrows this way."""
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    graph: Graph
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
-        edges = tuple((a, b) for a, b in self.edges)
-        for a, b in edges:
-            if not a < b:
-                raise ValueError(f"edge ({a}, {b}) is not written (a, b) with a < b")
-        object.__setattr__(self, "edges", edges)
-        if len(self.edges) != len(self.arrows):
+        if len(self.graph.edges) != len(self.arrows):
             raise ValueError("one arrow required per edge")
         # _flows tests arrows by identity, so a plain 1 must become TO_HIGHER;
         # a value that is no Arrow raises ValueError.
@@ -84,13 +76,13 @@ class Orientation:
         """Arrow on edge {u, v}, normalized to the (min, max) key."""
         key = (u, v) if u < v else (v, u)
         try:
-            return self.arrows[self.edges.index(key)]
+            return self.arrows[self.graph.edges.index(key)]
         except ValueError:
             raise ValueError(f"({u}, {v}) is not an edge") from None
 
     def _flows(self) -> Iterator[tuple[int, int]]:
         """(tail, head) of every edge that carries a chip, by the flow rule."""
-        for (a, b), arrow in zip(self.edges, self.arrows):
+        for (a, b), arrow in zip(self.graph.edges, self.arrows):
             if arrow is Arrow.TO_HIGHER:
                 yield a, b
             elif arrow is Arrow.TO_LOWER:
@@ -216,7 +208,7 @@ def induced_orientation(g: Graph, c: Sequence[int]) -> Orientation:
             arrows.append(Arrow.TO_LOWER)
         else:
             arrows.append(Arrow.FLAT)
-    return Orientation(g.n, g.edges, tuple(arrows))
+    return Orientation(g, tuple(arrows))
 
 
 def zero_preposition_from_orientation(g: Graph, r: Orientation) -> Configuration | None:
@@ -226,8 +218,8 @@ def zero_preposition_from_orientation(g: Graph, r: Orientation) -> Configuration
     rule for the next firing to zero it out; returns that candidate iff it
     actually induces r, else None.
     """
-    if r.n != g.n or r.edges != g.edges:
-        raise ValueError("orientation does not match the graph's edge set")
+    if r.graph != g:
+        raise ValueError("orientation is not of this graph")
     stacks = [0] * g.n
     for tail, head in r._flows():
         stacks[tail] += 1

@@ -263,7 +263,9 @@ def parse_graph_spec(spec: str) -> Graph:
 def _read_graph_spec(spec: str) -> tuple[int, Callable[[], Graph]]:
     """The order of a generator spec and the call that builds its graph,
     without building it: the spec-side twin of _read_edge_list. Every kind's
-    order is the sum of its arguments."""
+    order is the sum of its arguments. A negative sum needs a negative
+    argument, which every generator refuses before it allocates, so then
+    build runs at once and its error names the argument."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"bad graph spec {spec!r}, expected 'kind:args'")
@@ -279,7 +281,10 @@ def _read_graph_spec(spec: str) -> tuple[int, Callable[[], Graph]]:
         build = partial(complete_multipartite, nums)
     else:
         raise ValueError(f"bad graph spec {spec!r}")
-    return sum(nums), build
+    n = sum(nums)
+    if n < 0:
+        build()
+    return n, build
 
 
 def _reach(masks: Sequence[int], start: int, within: int) -> int:

@@ -180,8 +180,9 @@ def perturb(g: Graph, h: VertexSet) -> tuple[int, ...]:
 
 def _perturb_mask(g: Graph, mask: int) -> tuple[int, ...]:
     # P = -L 1_H: a vertex outside H gains one chip per neighbour in H, a
-    # vertex in H loses one per neighbour outside H. The census calls this
-    # once per walk; a list builds the tuple faster than a generator does.
+    # vertex in H loses one per neighbour outside H. perturb and the
+    # one-subset walk (_perturbation_walk) call this once per subset; a list
+    # builds the tuple faster than a generator does.
     return tuple([
         -(nbrs & ~mask).bit_count() if (mask >> v) & 1 else (nbrs & mask).bit_count()
         for v, nbrs in enumerate(g.nbr_masks)

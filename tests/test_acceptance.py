@@ -209,7 +209,7 @@ def test_criterion_7_property_suite():
         k = rng.randint(-10, 10)
         assert fire(g, shift(c, k)) == shift(nxt, k), "shift equivariance broken"
         r = induced_orientation(g, c)
-        for (u, v), a in zip(r.edges, r.arrows):
+        for (u, v), a in zip(g.edges, r.arrows):
             want = (
                 Arrow.TO_HIGHER if c[u] > c[v] else Arrow.TO_LOWER if c[u] < c[v] else Arrow.FLAT
             )

@@ -374,6 +374,25 @@ class TestGraphSources:
         assert out.out == ""
         assert out.err == "error: exhaustive count supports up to 26 vertices, got 29\n"
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["simulate", "--graph", "path:-1", "--config", "", "--steps", "1"],
+             "path needs n >= 1, got -1"),
+            (["perturb", "--graph", "path:-2", "--subset", ""], "path needs n >= 1, got -2"),
+            (["check", "--graph", "path:-2", "--subset", ""], "path needs n >= 1, got -2"),
+            (["count", "--graph", "kpartite:2,-3"], "part sizes must be >= 1, got [2, -3]"),
+        ],
+        ids=["simulate", "perturb", "check", "count"],
+    )
+    def test_negative_spec_order_reports_the_generator(self, capsys, argv, message):
+        # A negative order fits no request, so the generator's refusal is
+        # the one that names the argument at fault.
+        assert cli.main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {message}\n"
+
     def test_malformed_file_reports_line(self, tmp_path):
         graph_file = tmp_path / "bad.edges"
         graph_file.write_text("3 2\n0 1\n1 9\n")

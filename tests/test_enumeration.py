@@ -774,7 +774,7 @@ class TestSearchAllGraphs:
             list(search_all_graphs(3, checkpoint=tmp_path / "scan.ckpt"))
         assert list(tmp_path.iterdir()) == []
 
-    def test_checkpoint_holds_last_chunk_record(self, tmp_path, monkeypatch):
+    def test_each_report_finds_its_record(self, tmp_path, monkeypatch):
         # Each report finds the checkpoint holding the record of its position:
         # 15 fabricated witnesses at n = 4, then the end.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
@@ -823,7 +823,7 @@ class TestSearchAllGraphs:
         assert len(runs[0][0]) == 15 and len(runs[0][1]) == 16
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_at_every_chunk_boundary(self, tmp_path, monkeypatch, capsys, workers):
+    def test_resume_at_every_report(self, tmp_path, monkeypatch, capsys, workers):
         # The 45 fabricated witnesses at n = 5 and the end make 46 reports.
         # Each leg is interrupted from the reporter at report k, then resumed
         # through the library and through the CLI; k = 46 resumes a finished
@@ -909,7 +909,7 @@ class TestSearchAllGraphs:
             SearchProgress(3, 8, 8, 3, 3),
         ]
 
-    def test_witness_mid_chunk_close_and_resume(self, tmp_path, monkeypatch):
+    def test_close_after_a_witness_and_resume(self, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         events = []
         full = list(search_all_graphs(3, reporter=events.append))

@@ -4,11 +4,13 @@ lists. These tests check that the lists do not overlap, that the package
 exports exactly their concatenation, and that every public name a module
 defines is either in its list or one of the few module-only names below.
 They also check that each private name a docstring or README.md cites
-still exists.
+still exists, and that README.md's examples run and give the results their
+comments state.
 """
 
 import ast
 import re
+import shlex
 from pathlib import Path
 from types import ModuleType
 
@@ -16,6 +18,7 @@ import chip_diffusion
 from chip_diffusion import cli, engine, enumeration, graphs, paths, quiescence
 
 MODULES = (engine, enumeration, graphs, paths, quiescence)
+README = (Path(__file__).parents[1] / "README.md").read_text()
 
 # Public names the CLI, the tests and perfbench reach as module attributes,
 # kept out of the package namespace.
@@ -117,8 +120,50 @@ def _resolves(name: str) -> bool:
 
 def test_private_names_in_readme_resolve():
     # Inline code spans only: fenced blocks are shell sessions and examples.
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", README, flags=re.S))
     names = {name for span in spans for name in PRIVATE_NAME.findall(span)}
     assert sorted(name for name in names if not _resolves(name)) == []
     assert len(names) >= 13
+
+
+def _fenced(language: str) -> list[str]:
+    """The bodies of README.md's fenced blocks in language."""
+    return re.findall(rf"```{language}\n(.*?)```", README, flags=re.S)
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # In order, in one directory: the second search resumes the first's
+    # checkpoint.
+    monkeypatch.chdir(tmp_path)
+    lines = [
+        line for block in _fenced("sh") for line in block.splitlines()
+        if line.startswith("chip-diffusion ")
+    ]
+    assert len(lines) >= 9
+    for line in lines:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+def _claimed(comment: str) -> list:
+    """The values a result comment allows: the comment itself if it is a
+    Python literal, else its part before the first ", ", where "a or b"
+    allows either."""
+    try:
+        return [ast.literal_eval(comment)]
+    except (ValueError, SyntaxError):
+        return [ast.literal_eval(x) for x in comment.split(", ")[0].split(" or ")]
+
+
+def test_readme_library_results_hold():
+    (block,) = _fenced("python")
+    scope = {}
+    exec(block, scope)
+    checked = 0
+    for line in block.splitlines():
+        code, sep, comment = line.partition("#")
+        if sep and isinstance(ast.parse(code.strip()).body[0], ast.Expr):
+            assert eval(code, scope) in _claimed(comment.strip()), line
+            checked += 1
+    assert checked == 3
+    # "always equal to is_ccd(g, h)"
+    assert eval("is_zero2_invoking(g, h) == is_ccd(g, h)", scope)
