@@ -155,8 +155,6 @@ def _cmd_pq(args) -> int:
 def _cmd_search(args) -> int:
     _check_at_least("--threads", args.threads, 1)
     _check_at_least("--max-steps", args.max_steps, 1)
-    if args.resume and args.checkpoint is None:
-        raise ValueError("--resume requires --checkpoint")
     final = None
 
     def report(p: enumeration.SearchProgress) -> None:
@@ -175,7 +173,6 @@ def _cmd_search(args) -> int:
         reporter=report,
         connected_only=args.connected_only,
         checkpoint=args.checkpoint,
-        resume=args.resume,
         workers=args.threads,
     )
     for w in stream:
@@ -261,14 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--max-steps", type=int, default=quiescence.DEFAULT_MAX_STEPS)
-    p.add_argument("--checkpoint", help="record for --resume, saved at each witness and at the end")
-    p.add_argument("--resume", action="store_true", help="continue from the checkpoint file")
+    p.add_argument("--checkpoint", help="file for the run's final record, written at the end")
     p.add_argument(
         "--threads", type=int, default=1,
         help="checked (>= 1) but inert: the census runs in one process; a process pool belongs "
         "to a class-by-class search of orders past 7, where n = 9 takes minutes",
     )
-    p.add_argument("--progress", action="store_true", help="progress lines on stderr")
+    p.add_argument("--progress", action="store_true", help="a progress line on stderr at the end")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("paths-table", help="closed forms vs enumeration on paths")

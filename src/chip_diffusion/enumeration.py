@@ -33,7 +33,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator
@@ -51,10 +50,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SearchProgress:
-    """How far a search_all_graphs run has got: every edge mask below scanned
-    is done, out of total, and witnesses and inconclusive count the graphs
-    among those masks afresh at each position, so a resumed run reports what
-    an uninterrupted one does."""
+    """What a search_all_graphs run reports at its end: it scanned all total
+    edge masks of order n, and witnesses and inconclusive count the graphs
+    among them."""
 
     n: int
     scanned: int
@@ -241,44 +239,6 @@ def _relabellings(n: int, keys: list[int]) -> Iterator[int]:
         yield from set(map(sum, zip(zero, *edges)))
 
 
-def _record(run: tuple[int, int, bool], p: SearchProgress) -> str:
-    """The checkpoint record of the search run = (n, max_steps,
-    connected_only) at p: "search n max_steps connected_only witnesses
-    inconclusive", then "n edge_mask", the last mask those counts cover."""
-    n, max_steps, connected_only = run
-    return (f"search {n} {max_steps} {int(connected_only)} {p.witnesses} {p.inconclusive}\n"
-            f"{n} {p.scanned - 1}\n")
-
-
-def _read_checkpoint(
-    path: Path, run: tuple[int, int, bool], progress: Callable[[int], SearchProgress]
-) -> int:
-    """The next edge mask of the search run's checkpoint, which must hold
-    exactly the bytes of _record(run, progress(m + 1)), m the last number on
-    its last line. A missing file is an error: resuming from nothing would
-    silently restart the scan."""
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        raise ValueError(
-            f"checkpoint {path} does not exist; drop --resume to start a new search"
-        ) from None
-    try:
-        last = int(data.split()[-1])
-    except (IndexError, ValueError):
-        raise ValueError(
-            f"checkpoint {path}: expected 'search n max_steps connected_only witnesses "
-            f"inconclusive' then 'n edge_mask', got {data[:200]!r}"
-        ) from None
-    at = progress(last + 1)
-    if data != (want := _record(run, at).encode()):
-        raise ValueError(f"checkpoint {path} holds {data[:200]!r}, where this search "
-                         f"would write {want!r}")
-    if not 0 < at.scanned <= at.total:
-        raise ValueError(f"checkpoint {path}: edge mask {last} is out of range")
-    return at.scanned
-
-
 def search_all_graphs(
     n: int,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -286,21 +246,20 @@ def search_all_graphs(
     *,
     connected_only: bool = False,
     checkpoint: str | os.PathLike | None = None,
-    resume: bool = False,
     workers: int = 1,
 ) -> Iterator[SearchWitness]:
     """Run find_zero_not_zero2 over every labelled graph on n vertices,
     yielding witnesses in ascending edge-mask order. Each isomorphism class
     is decided once (module docstring); the witness classes' edge masks are
-    kept, sorted, and each is searched again for its own first witness. The
-    INCONCLUSIVE masks below a position are counted, never stored.
+    sorted, and each is searched again for its own first witness. The
+    INCONCLUSIVE masks are counted, never stored.
 
-    Cost lemma. W = 0 at every cap for n <= 7, W the witness count, so the
-    counting passes (one per witness, at the end and at a resume's start)
-    cost O(U), U the INCONCLUSIVE mask count, not O(W * U). Proof: at the
-    default cap the census of all graphs of order 7 finds no witness and no
-    INCONCLUSIVE class (tests/test_cli.py). A witness at a smaller cap is one
-    at the default cap; a witness at a larger cap would have been
+    Cost lemma. W = 0 at every cap for n <= 7, W the witness count, so no
+    input accepted here reaches the witness loop, and it is a plain loop
+    with no record or report between witnesses. Proof: at the default cap
+    the census of all graphs of order 7 finds no witness and no
+    INCONCLUSIVE class (tests/test_cli.py). A witness at a smaller cap is
+    one at the default cap; a witness at a larger cap would have been
     INCONCLUSIVE at the default cap, its walk capped there. Adding isolated
     vertices to a graph of order m < 7 leaves every walk unchanged, so a
     witness at order m would be one at order 7, and the connected census is
@@ -309,19 +268,15 @@ def search_all_graphs(
     n > 7 is refused. At the default cap, n = 8 would take about 1 s to
     generate the classes and 1 s to decide them; the limit guards the
     labelled view at low caps, where every class can be INCONCLUSIVE: at
-    n = 8 and cap 1 each counting pass would relabel all 251,548,592
+    n = 8 and cap 1 the counting pass would relabel all 251,548,592
     connected labelled graphs.
 
-    The run stops after each witness is consumed, at its mask + 1, and at the
-    end, at total. Each stop atomically replaces the checkpoint's one record,
-    "search n max_steps connected_only witnesses inconclusive", then
-    "n edge_mask", the last mask those counts cover, and gives reporter the
-    SearchProgress; closing the generator right after a witness saves only,
-    and a failed save removes its ".tmp". A checkpoint naming a directory, or
-    in a missing one, is refused before any work. resume continues from the
-    record, so the output and the final SearchProgress equal an uninterrupted
-    run's; it refuses a missing file and any file other than the record
-    (_record) this search writes at the position on the file's last line.
+    After the last witness the run writes its one record to the checkpoint,
+    atomically: "search n max_steps connected_only witnesses inconclusive",
+    then "n edge_mask", the last edge mask. Then it gives reporter the final
+    SearchProgress. A run closed before its end writes nothing, and a failed
+    save removes its ".tmp". A checkpoint naming a directory, or in a
+    missing one, is refused before any work.
 
     workers must be >= 1 and does not change the run: at n <= 7 deciding
     every class takes less time than generating them, so the census runs in
@@ -331,7 +286,7 @@ def search_all_graphs(
         raise ValueError(f"n must be >= 0, got {n}")
     if n > 7:
         raise ValueError(
-            f"refusing n={n} > 7: at a low cap every class can be INCONCLUSIVE, and each "
+            f"refusing n={n} > 7: at a low cap every class can be INCONCLUSIVE, and the "
             f"counting pass would relabel every labelled graph of the order (at n = 8, "
             f"251,548,592 connected ones)"
         )
@@ -339,50 +294,30 @@ def search_all_graphs(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     ckpt_path = Path(checkpoint) if checkpoint is not None else None
-    if resume and ckpt_path is None:
-        raise ValueError("resume requires a checkpoint path")
     if ckpt_path is not None and ckpt_path.is_dir():
         raise ValueError(f"checkpoint {checkpoint} is a directory")
     if ckpt_path is not None and not ckpt_path.parent.is_dir():
         raise ValueError(f"checkpoint {checkpoint}: {ckpt_path.parent} is not a directory")
-    total = 1 << (n * (n - 1) // 2)
-    run = (n, max_steps, connected_only)
     keys = _classes(n, connected_only)
     verdicts = [find_zero_not_zero2(graph_from_edge_mask(n, k), max_steps) for k in keys]
     witness_keys = [k for k, v in zip(keys, verdicts) if isinstance(v, SearchWitness)]
     undecided_keys = [k for k, v in zip(keys, verdicts) if v is SearchStatus.INCONCLUSIVE]
     found = sorted(_relabellings(n, witness_keys))
-
-    def progress(p: int) -> SearchProgress:
-        undecided = sum(m < p for m in _relabellings(n, undecided_keys))
-        return SearchProgress(n, p, total, bisect_left(found, p), undecided)
-
-    def save(p: SearchProgress) -> None:
-        if ckpt_path is None:
-            return
+    for mask in found:
+        yield find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
+    total = 1 << (n * (n - 1) // 2)
+    undecided = sum(1 for _ in _relabellings(n, undecided_keys))
+    at = SearchProgress(n, total, total, len(found), undecided)
+    if ckpt_path is not None:
         tmp = ckpt_path.with_name(ckpt_path.name + ".tmp")
         try:
             with open(tmp, "w") as fh:
-                fh.write(_record(run, p))
+                fh.write(f"search {n} {max_steps} {int(connected_only)} {len(found)} "
+                         f"{undecided}\n{n} {total - 1}\n")
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, ckpt_path)
         finally:
             tmp.unlink(missing_ok=True)  # gone after a replace, left by a failure
-
-    start = _read_checkpoint(ckpt_path, run, progress) if resume else 0
-    at = None
-    for mask in found[bisect_left(found, start):]:
-        witness = find_zero_not_zero2(graph_from_edge_mask(n, mask), max_steps)
-        at = progress(mask + 1)
-        try:
-            yield witness
-        finally:
-            save(at)
-        if reporter is not None:
-            reporter(at)
-    if at is None or at.scanned < total:  # not stopped at total by a witness at total - 1
-        at = progress(total)
-        save(at)
-        if reporter is not None:
-            reporter(at)
+    if reporter is not None:
+        reporter(at)

@@ -263,9 +263,9 @@ def parse_graph_spec(spec: str) -> Graph:
 def _read_graph_spec(spec: str) -> tuple[int, Callable[[], Graph]]:
     """The order of a generator spec and the call that builds its graph,
     without building it: the spec-side twin of _read_edge_list. Every kind's
-    order is the sum of its arguments. A negative sum needs a negative
-    argument, which every generator refuses before it allocates, so then
-    build runs at once and its error names the argument."""
+    order is the sum of its arguments. Every generator refuses a negative
+    argument before it allocates, so then build runs at once and its error
+    names the argument, not an order that no argument gives."""
     kind, sep, arg = spec.partition(":")
     if not sep:
         raise ValueError(f"bad graph spec {spec!r}, expected 'kind:args'")
@@ -281,10 +281,9 @@ def _read_graph_spec(spec: str) -> tuple[int, Callable[[], Graph]]:
         build = partial(complete_multipartite, nums)
     else:
         raise ValueError(f"bad graph spec {spec!r}")
-    n = sum(nums)
-    if n < 0:
+    if min(nums) < 0:
         build()
-    return n, build
+    return sum(nums), build
 
 
 def _reach(masks: Sequence[int], start: int, within: int) -> int:

@@ -221,29 +221,6 @@ class TestSearch:
         assert "n must be >= 0" in result.stderr
 
     @pytest.mark.parametrize(
-        "text",
-        ["search 4 50 0 0 0\n4 10\n", "search 3 2 0 0 0\n3 5\n", "search 3 50 1 0 0\n3 5\n",
-         "3 5\n", "search 3 50 0 0\n3 5\n", "search 3 10000 0 99 99\n3 3\n",
-         "search 3 10000 0 1 0\n3 5\n"],
-        ids=["other-n", "other-max-steps", "connected-only", "old-log", "garbled",
-             "counts-beyond-masks", "counts-differ"],
-    )
-    def test_resume_refuses_foreign_checkpoint(self, tmp_path, text):
-        ckpt = tmp_path / "scan.ckpt"
-        ckpt.write_text(text)
-        result = run_cli("search", "--n", "3", "--checkpoint", str(ckpt), "--resume")
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert "checkpoint" in result.stderr
-        assert ckpt.read_text() == text
-
-    def test_resume_without_checkpoint_exits_one(self):
-        result = run_cli("search", "--n", "3", "--resume")
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert result.stderr == "error: --resume requires --checkpoint\n"
-
-    @pytest.mark.parametrize(
         "path,message",
         [
             ("nodir/scan.ckpt", "checkpoint nodir/scan.ckpt: nodir is not a directory"),
@@ -259,14 +236,6 @@ class TestSearch:
         assert result.stdout == ""
         assert result.stderr == f"error: {message}\n"
         assert [p.name for p in tmp_path.rglob("*")] == ["ckdir"]
-
-    def test_resume_refuses_missing_checkpoint(self, tmp_path):
-        ckpt = tmp_path / "missing.ckpt"
-        result = run_cli("search", "--n", "3", "--checkpoint", str(ckpt), "--resume")
-        assert result.returncode == 1
-        assert result.stdout == ""
-        assert f"checkpoint {ckpt} does not exist; drop --resume" in result.stderr
-        assert list(tmp_path.iterdir()) == []
 
 
 class TestPathsTable:
@@ -367,12 +336,17 @@ class TestGraphSources:
 
     def test_spec_order_checked_before_its_arguments(self, capsys):
         # The order is the sum of the arguments, checked before any
-        # generator sees them, so a bad part size above the limit reports
-        # the limit.
+        # generator sees them, so a part size of 0 above the limit reports
+        # the limit. A negative part size is the generator's to report
+        # (test_negative_spec_order_reports_the_generator).
+        assert cli.main(["count", "--graph", "kbip:0,30"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: exhaustive count supports up to 26 vertices, got 30\n"
         assert cli.main(["count", "--graph", "kbip:-1,30"]) == 1
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err == "error: exhaustive count supports up to 26 vertices, got 29\n"
+        assert out.err == "error: part sizes must be >= 1, got (-1, 30)\n"
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -382,12 +356,16 @@ class TestGraphSources:
             (["perturb", "--graph", "path:-2", "--subset", ""], "path needs n >= 1, got -2"),
             (["check", "--graph", "path:-2", "--subset", ""], "path needs n >= 1, got -2"),
             (["count", "--graph", "kpartite:2,-3"], "part sizes must be >= 1, got [2, -3]"),
+            (["simulate", "--graph", "kbip:-1,30", "--config", "", "--steps", "1"],
+             "part sizes must be >= 1, got (-1, 30)"),
+            (["perturb", "--graph", "kpartite:3,-1", "--subset", "5"],
+             "part sizes must be >= 1, got [3, -1]"),
         ],
-        ids=["simulate", "perturb", "check", "count"],
+        ids=["simulate", "perturb", "check", "count", "simulate-part", "perturb-part"],
     )
     def test_negative_spec_order_reports_the_generator(self, capsys, argv, message):
-        # A negative order fits no request, so the generator's refusal is
-        # the one that names the argument at fault.
+        # A negative argument fits no request, even where the order is
+        # positive, so the generator's refusal is the one that names it.
         assert cli.main(argv) == 1
         out = capsys.readouterr()
         assert out.out == ""

@@ -349,9 +349,8 @@ class TestIsomorphismCache:
     @pytest.mark.parametrize("n", range(6))
     @pytest.mark.parametrize("cap", ORACLE_CAPS)
     @pytest.mark.parametrize("connected_only", [False, True])
-    def test_cached_scan_matches_per_graph_loop(self, tmp_path, n, cap, connected_only):
-        # Every report, and every position a resume accepts, carries the
-        # per-graph loop's counts of the masks below its position.
+    def test_cached_scan_matches_per_graph_loop(self, n, cap, connected_only):
+        # The witnesses and the one report's counts are the per-graph loop's.
         total = 1 << (n * (n - 1) // 2)
         want, found, undecided = [], [0] * total, [0] * total
         for mask, g in all_graphs(n, connected_only):
@@ -367,24 +366,11 @@ class TestIsomorphismCache:
         assert got == want
         assert events[-1].scanned == total
         assert [(p.witnesses, p.inconclusive) for p in events] == [below[p.scanned] for p in events]
-        ckpt = tmp_path / "scan.ckpt"
-        for pos in sorted({1, total // 3, total // 2, total} - {0}):
-            w, i = below[pos]
-            ckpt.write_text(f"search {n} {cap} {int(connected_only)} {w} {i}\n{n} {pos - 1}\n")
-            resumed = []
-            assert list(
-                search_all_graphs(
-                    n, cap, resumed.append, connected_only=connected_only,
-                    checkpoint=ckpt, resume=True,
-                )
-            ) == want[w:]
-            assert resumed[-1] == events[-1]
 
     def test_one_search_per_class_per_search(self, tmp_path, monkeypatch):
         # Every class is decided in the calling process, whatever workers is,
-        # so the stub sees each search, and no child process is alive at any
-        # report. A resumed run with nothing left decides every class again:
-        # its record's counts are checked against them.
+        # so the stub sees each search, and no child process is alive at the
+        # report.
         calls = []
 
         def counting_find(g, max_steps):
@@ -407,12 +393,7 @@ class TestIsomorphismCache:
             runs.append((found, events))
             assert len(calls) == len(set(calls)) == 34, workers  # OEIS A000088
         assert runs[0] == runs[1] == runs[2]
-        assert runs[0][1] == [SearchProgress(5, 1024, 1024, 0, 972)]  # no witness: one report
-        calls.clear()
-        events = []
-        assert list(search_all_graphs(5, 2, report, checkpoint=ckpt, resume=True)) == []
-        assert len(calls) == len(set(calls)) == 34
-        assert events == runs[0][1]
+        assert runs[0][1] == [SearchProgress(5, 1024, 1024, 0, 972)]
 
     @pytest.mark.parametrize(
         "argv,want",
@@ -588,10 +569,6 @@ class TestClassSource:
         assert all(is_connected(graph_from_edge_mask(n, m, pairs)) for m in connected)
 
 
-class _Interrupt(Exception):
-    pass
-
-
 class TestSearchAllGraphs:
     def test_n2_finds_nothing(self):
         assert list(search_all_graphs(2)) == []
@@ -621,138 +598,12 @@ class TestSearchAllGraphs:
         with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
             next(iter(search_all_graphs(3, workers=0)))
 
-    def test_checkpoint_interrupt_and_resume(self, tmp_path, monkeypatch):
-        # The fabricated witnesses at n = 4 are the masks with two edges:
-        # 3, 5, 6, 9, ... The reporter stops the run at its third report,
-        # the one after the witness at mask 6.
-        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        full = list(search_all_graphs(4))
-        ckpt = tmp_path / "scan.ckpt"
-        seen = []
-        partial = []
-
-        def stop_after_three(p: SearchProgress):
-            seen.append(p.scanned)
-            if len(seen) == 3:
-                raise _Interrupt
-
-        with pytest.raises(_Interrupt):
-            for w in search_all_graphs(4, reporter=stop_after_three, checkpoint=ckpt):
-                partial.append(w)
-        assert seen == [4, 6, 7]
-        assert ckpt.read_text().strip().splitlines()[-1] == "4 6"
-
-        resumed_events = []
-        resumed = list(
-            search_all_graphs(4, reporter=resumed_events.append, checkpoint=ckpt, resume=True)
-        )
-        assert partial == full[:3]
-        assert resumed == full[3:]
-        assert resumed_events[0].scanned == 10  # picked up at mask 7; next witness is 9
-        assert resumed_events[-1].scanned == 64
-        assert ckpt.read_text().strip().splitlines()[-1] == "4 63"
-
-    def test_resume_requires_checkpoint(self):
-        with pytest.raises(ValueError):
-            next(iter(search_all_graphs(3, resume=True)))
-
-    def test_resume_rejects_missing_checkpoint(self, tmp_path):
-        ckpt = tmp_path / "missing.ckpt"
-        with pytest.raises(ValueError, match=re.escape(f"checkpoint {ckpt} does not exist")):
-            next(iter(search_all_graphs(3, checkpoint=ckpt, resume=True)))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_resume_rejects_other_order(self, tmp_path):
-        ckpt = tmp_path / "scan.ckpt"
-        ckpt.write_text("search 5 50 0 0 0\n5 100\n")
-        with pytest.raises(ValueError, match="search 5 50 0 0 0"):
-            next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
-
-    @pytest.mark.parametrize(
-        "record,match",
-        [
-            ("search 4 2 0 0 0\n4 10\n", "search 4 2 0 0 0"),
-            ("search 4 50 1 0 0\n4 10\n", "search 4 50 1 0 0"),
-        ],
-        ids=["max-steps", "connected-only"],
-    )
-    def test_resume_rejects_other_parameters(self, tmp_path, record, match):
-        ckpt = tmp_path / "scan.ckpt"
-        ckpt.write_text(record)
-        with pytest.raises(ValueError, match=match):
-            next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
-
-    def test_resume_rejects_garbage(self, tmp_path):
-        ckpt = tmp_path / "scan.ckpt"
-        for text in [
-            "4 23\n",  # the old append-only log
-            "4 15\n4 31\n",
-            "search 4 50 0 0 0\n4 not-a-mask\n",
-            "search 4 50 0 0 0\n4 2\n4 3\n",
-            "search 4 50 0 0 0\n4 3",  # torn: no final newline
-            "search 4 50 0 0 0\n5 3\n",
-            "search 4 50 0 0 0\n4 64\n",  # beyond the last edge mask
-            "search 4 50 0 99 99\n4 3\n",  # more graphs counted than masks covered
-            "search 4 50 0 1 0\n4 10\n",  # not the search's counts below mask 11
-            "",
-        ]:
-            ckpt.write_text(text)
-            with pytest.raises(ValueError, match="checkpoint"):
-                next(iter(search_all_graphs(4, max_steps=50, checkpoint=ckpt, resume=True)))
-
-    def test_resume_accepts_only_the_bytes_save_writes(self, tmp_path, monkeypatch):
-        # Each of the 16 records of the fabricated n = 4 run, its final one
-        # included, resumes at exactly its position. One-character variants
-        # of a record are refused, and the file is left as it was.
-        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        ckpt = tmp_path / "scan.ckpt"
-        records = []  # (record, SearchProgress) at each report
-
-        def read_record(p: SearchProgress):
-            records.append((ckpt.read_bytes(), p))
-
-        full = list(search_all_graphs(4, reporter=read_record, checkpoint=ckpt))
-        assert len(records) == 16
-        assert records[-1][0] == f"search 4 {DEFAULT_MAX_STEPS} 0 15 6\n4 63\n".encode()
-        starts = []
-        real = enumeration._read_checkpoint
-
-        def recording(*args):
-            starts.append(real(*args))
-            return starts[-1]
-
-        monkeypatch.setattr(enumeration, "_read_checkpoint", recording)
-        for record, p in records:
-            ckpt.write_bytes(record)
-            resumed = list(search_all_graphs(4, checkpoint=ckpt, resume=True))
-            assert starts[-1] == p.scanned
-            assert resumed == full[p.witnesses:]
-            assert ckpt.read_bytes() == records[-1][0]
-        record = records[2][0].decode()
-        assert record == f"search 4 {DEFAULT_MAX_STEPS} 0 3 3\n4 6\n"
-        for variant in [
-            record.replace("search 4", "search 04"),
-            record.replace("\n4 ", "\n04 "),
-            record.replace(" 6\n", " 06\n"),
-            record.replace("\n", " \n", 1),
-            record + " ",
-            record + "\n",
-            record.replace("\n", "\r\n"),
-        ]:
-            ckpt.write_bytes(variant.encode())
-            with pytest.raises(ValueError, match=f"^checkpoint {re.escape(str(ckpt))}"):
-                next(iter(search_all_graphs(4, checkpoint=ckpt, resume=True)))
-            assert ckpt.read_bytes() == variant.encode()
-
-    @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
     @pytest.mark.parametrize(
         "name,why",
         [("missing/scan.ckpt", ": {dir} is not a directory"), ("ckdir", " is a directory")],
         ids=["missing-directory", "names-a-directory"],
     )
-    def test_checkpoint_misuse_refused_before_any_work(
-        self, tmp_path, monkeypatch, name, why, resume
-    ):
+    def test_checkpoint_misuse_refused_before_any_work(self, tmp_path, monkeypatch, name, why):
         def no_classes(n, connected_only):
             raise AssertionError("classes generated before the checkpoint was checked")
 
@@ -761,7 +612,7 @@ class TestSearchAllGraphs:
         ckpt = tmp_path / name
         message = f"checkpoint {ckpt}" + why.format(dir=ckpt.parent)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            next(iter(search_all_graphs(7, checkpoint=str(ckpt), resume=resume)))
+            next(iter(search_all_graphs(7, checkpoint=str(ckpt))))
         assert [p.name for p in tmp_path.rglob("*")] == ["ckdir"]
 
     @pytest.mark.parametrize("call", ["fsync", "replace"])
@@ -775,8 +626,8 @@ class TestSearchAllGraphs:
         assert list(tmp_path.iterdir()) == []
 
     def test_each_report_finds_its_record(self, tmp_path, monkeypatch):
-        # Each report finds the checkpoint holding the record of its position:
-        # 15 fabricated witnesses at n = 4, then the end.
+        # The one report, after 15 fabricated witnesses at n = 4, finds the
+        # checkpoint holding the run's record.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         ckpt = tmp_path / "scan.ckpt"
         seen = []
@@ -788,16 +639,12 @@ class TestSearchAllGraphs:
             )
 
         list(search_all_graphs(4, max_steps=2, reporter=read_record, checkpoint=ckpt))
-        assert len(seen) == 16
-        assert ckpt.read_text() == seen[-1] == "search 4 2 0 15 6\n4 63\n"
+        assert seen == ["search 4 2 0 15 6\n4 63\n"]
+        assert ckpt.read_text() == seen[-1]
         assert [p.name for p in tmp_path.iterdir()] == ["scan.ckpt"]
 
-    @pytest.mark.parametrize(
-        "n,fake,writes", [(6, False, 1), (4, True, 16)], ids=["witness-free", "fabricated"]
-    )
-    def test_checkpoint_written_at_each_witness_and_the_end(
-        self, tmp_path, monkeypatch, n, fake, writes
-    ):
+    @pytest.mark.parametrize("n,fake", [(6, False), (4, True)], ids=["witness-free", "fabricated"])
+    def test_checkpoint_written_once_at_the_end(self, tmp_path, monkeypatch, n, fake):
         replaced = []
 
         def counting_replace(src, dst):
@@ -810,64 +657,27 @@ class TestSearchAllGraphs:
         monkeypatch.setattr(enumeration.os, "replace", counting_replace)
         ckpt = tmp_path / "scan.ckpt"
         list(search_all_graphs(n, connected_only=not fake, checkpoint=ckpt))
-        assert replaced == [ckpt] * writes
+        assert replaced == [ckpt]
+
+    def test_close_after_a_witness_writes_no_checkpoint(self, tmp_path, monkeypatch):
+        # The record is written only at the end, so a run closed after its
+        # first witness leaves no checkpoint and no ".tmp".
+        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
+        stream = search_all_graphs(3, checkpoint=tmp_path / "scan.ckpt")
+        assert next(stream).graph == graph_from_edge_mask(3, 3)
+        stream.close()
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_match_sequential(self, monkeypatch):
-        # workers does not change the witnesses or the reports.
+        # workers does not change the witnesses or the report.
         monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
         runs = []
         for workers in (1, 2):
             events = []
             runs.append((list(search_all_graphs(4, 2, events.append, workers=workers)), events))
         assert runs[0] == runs[1]
-        assert len(runs[0][0]) == 15 and len(runs[0][1]) == 16
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_resume_at_every_report(self, tmp_path, monkeypatch, capsys, workers):
-        # The 45 fabricated witnesses at n = 5 and the end make 46 reports.
-        # Each leg is interrupted from the reporter at report k, then resumed
-        # through the library and through the CLI; k = 46 resumes a finished
-        # checkpoint.
-        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        argv = ["search", "--n", "5", "--max-steps", "2", "--threads", str(workers)]
-        events = []
-        full = list(search_all_graphs(5, 2, events.append, workers=workers))
-        want = events[-1]
-        assert want == SearchProgress(5, 1024, 1024, 45, 10)
-        assert len(events) == 46
-        assert cli.main(argv) == 1
-        want_out, want_err = capsys.readouterr()
-        want_out = want_out.splitlines(keepends=True)
-        assert len(want_out) == 45
-        assert want_err == "search done: 45 witnesses, 10 inconclusive\n"
-
-        for k in range(1, 47):
-            ckpt = tmp_path / f"stop{k}.ckpt"
-            reports = []
-
-            def stop_at_k(p: SearchProgress):
-                reports.append(p)
-                if len(reports) == k:
-                    raise _Interrupt
-
-            partial = []
-            with pytest.raises(_Interrupt):
-                for w in search_all_graphs(5, 2, stop_at_k, checkpoint=ckpt, workers=workers):
-                    partial.append(w)
-            copy = tmp_path / f"stop{k}.cli.ckpt"
-            copy.write_text(ckpt.read_text())
-
-            events = []
-            resumed = list(
-                search_all_graphs(
-                    5, 2, events.append, checkpoint=ckpt, resume=True, workers=workers
-                )
-            )
-            assert partial + resumed == full
-            assert len(events) == max(46 - k, 1)  # a finished checkpoint reports once
-            assert events[-1] == want
-            assert cli.main([*argv, "--checkpoint", str(copy), "--resume"]) == 1
-            assert capsys.readouterr() == ("".join(want_out[min(k, 45):]), want_err)
+        assert len(runs[0][0]) == 15
+        assert runs[0][1] == [SearchProgress(4, 64, 64, 15, 6)]
 
     def test_witness_pipeline(self, monkeypatch):
         # No real witness is known (that existence is the open question), so
@@ -877,7 +687,7 @@ class TestSearchAllGraphs:
         assert [(w.subset.mask, w.zero_step) for w in got] == [(1, 4), (2, 5), (4, 6)]
 
     def test_witness_at_the_last_mask_reports_the_end_once(self, tmp_path, monkeypatch):
-        # A witness on K3, mask 7 = total - 1, already stops the run at total.
+        # A witness on K3, mask 7 = total - 1, is followed by the one report.
         def complete_only(g, max_steps=0):
             if g.m == 3:
                 return SearchWitness(g, VertexSet(3, 1), 4, "fabricated")
@@ -888,95 +698,6 @@ class TestSearchAllGraphs:
         got = list(search_all_graphs(3, reporter=events.append, checkpoint=tmp_path / "c"))
         assert [w.graph.m for w in got] == [3]
         assert events == [SearchProgress(3, 8, 8, 1, 0)]
-
-    def test_witness_through_worker_pool(self, monkeypatch):
-        # workers = 2 gives the fabricated verdicts, the witnesses and the
-        # reports, one per witness and one at the end, of workers = 1.
-        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        runs = []
-        for workers in (1, 2):
-            events = []
-            found = list(search_all_graphs(3, reporter=events.append, workers=workers))
-            runs.append((found, events))
-        (seq, seq_events), (par, par_events) = runs
-        assert [(w.subset.mask, w.zero_step) for w in seq] == [(1, 4), (2, 5), (4, 6)]
-        assert par == seq
-        assert [w.graph.nbr_masks for w in par] == [w.graph.nbr_masks for w in seq]
-        assert par_events == seq_events == [
-            SearchProgress(3, 4, 8, 1, 2),
-            SearchProgress(3, 6, 8, 2, 3),
-            SearchProgress(3, 7, 8, 3, 3),
-            SearchProgress(3, 8, 8, 3, 3),
-        ]
-
-    def test_close_after_a_witness_and_resume(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        events = []
-        full = list(search_all_graphs(3, reporter=events.append))
-        want = events[-1]
-        assert (want.witnesses, want.inconclusive) == (3, 3)
-
-        ckpt = tmp_path / "scan.ckpt"
-        stream = search_all_graphs(3, checkpoint=ckpt)
-        partial = [next(stream)]
-        stream.close()
-        assert ckpt.read_text() == f"search 3 {DEFAULT_MAX_STEPS} 0 1 2\n3 3\n"
-
-        events = []
-        resumed = list(search_all_graphs(3, reporter=events.append, checkpoint=ckpt, resume=True))
-        assert partial + resumed == full
-        assert events[-1] == want
-
-    @pytest.mark.parametrize("chunk", [1, 8, 4096])
-    def test_close_after_each_witness_counts_only_masks_below(self, tmp_path, monkeypatch, chunk):
-        # n = 4 has 64 edge masks: the 15 with two edges are witnesses and
-        # the 6 with one are inconclusive. Each report counts the masks below
-        # its position, one past its witness. A close right after a witness
-        # records the witnesses up to it and the inconclusive masks below it,
-        # and a resume then ends as a full run. So does a resume from each
-        # record that a writer checkpointing every `chunk` masks left at a
-        # chunk's end, wherever the witnesses fall: in chunks of eight, the
-        # first holds the witness at mask 3 with the inconclusive masks 1
-        # and 2 below it and 4 above, and the inconclusive masks 4 and 8 lie
-        # on either side of a chunk edge.
-        monkeypatch.setattr(enumeration, "find_zero_not_zero2", _fake_find)
-        events = []
-        full = list(search_all_graphs(4, reporter=events.append))
-        want = events[-1]
-        masks = [m for m in range(64) if bin(m).count("1") == 2]
-        assert [w.graph for w in full] == [graph_from_edge_mask(4, m) for m in masks]
-        assert want == SearchProgress(4, 64, 64, 15, 6)
-
-        def below(p):
-            return sum(m < p for m in masks), sum(1 << i < p for i in range(6))
-
-        assert [p.scanned for p in events] == [m + 1 for m in masks] + [64]
-        assert [(p.witnesses, p.inconclusive) for p in events] == [below(p.scanned) for p in events]
-        for k, witness in enumerate(masks, 1):
-            ckpt = tmp_path / f"after{k}.ckpt"
-            stream = search_all_graphs(4, checkpoint=ckpt)
-            partial = [next(stream) for _ in range(k)]
-            stream.close()
-            assert ckpt.read_text() == (
-                f"search 4 {DEFAULT_MAX_STEPS} 0 {k} {below(witness)[1]}\n4 {witness}\n"
-            )
-            events = []
-            resumed = list(
-                search_all_graphs(4, reporter=events.append, checkpoint=ckpt, resume=True)
-            )
-            assert partial + resumed == full
-            assert events[-1] == want
-        for end in range(chunk, 64 + chunk, chunk):
-            end = min(end, 64)
-            ckpt = tmp_path / f"chunk{end}.ckpt"
-            w, i = below(end)
-            ckpt.write_text(f"search 4 {DEFAULT_MAX_STEPS} 0 {w} {i}\n4 {end - 1}\n")
-            events = []
-            resumed = list(
-                search_all_graphs(4, reporter=events.append, checkpoint=ckpt, resume=True)
-            )
-            assert resumed == full[w:]
-            assert events[-1] == want
 
 
 def _fake_find(g, max_steps=0):

@@ -132,7 +132,7 @@ def _fenced(language: str) -> list[str]:
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch):
-    # In order, in one directory: the second search resumes the first's
+    # In order, in one directory, where the first search writes its
     # checkpoint.
     monkeypatch.chdir(tmp_path)
     lines = [
